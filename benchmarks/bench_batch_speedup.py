@@ -28,12 +28,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from repro.campaigns import EndToEndSpec, MemorySpec
+from repro.campaigns.runner import shot_engine
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
 from repro.noise.models import PACKED_SAMPLE_CHUNK, PhenomenologicalNoise
 from repro.sim import bitops
-from repro.sim.batch import (BatchShotRunner, EndToEndShotKernel,
-                             MemoryShotKernel)
+from repro.sim.batch import BatchShotRunner
 from repro.sim.memory import MemoryExperiment
 
 from _common import emit_json, mc_samples, mc_workers, print_table, scale
@@ -227,8 +228,9 @@ def _decode_stage_data(d, p, region, informed, shots, seed):
     """Sample + extract one packed chunk and build both kernels."""
     kernels = {}
     for mode in ("pershot", "batched"):
-        k = MemoryShotKernel(d, p, region=region, informed=informed,
-                             decode=mode)
+        k, _, _ = shot_engine(MemorySpec(
+            distance=d, p=p, samples=shots, region=region,
+            informed=informed, decode=mode))
         k.prepare()
         kernels[mode] = k
     noise, lattice, _, _ = kernels["batched"]._state
@@ -322,10 +324,10 @@ def bench_decode_stage_speedup(benchmark):
     # Campaign-level certification: same (seed, batch_size), same counts.
     fails = {}
     for mode in ("pershot", "batched"):
-        kernel = MemoryShotKernel(
-            13, PHYSICAL_RATES[-1],
-            region=AnomalousRegion.centered(13, ANOMALY_SIZE),
-            informed=True, decode=mode)
+        kernel, _, _ = shot_engine(MemorySpec(
+            distance=13, p=PHYSICAL_RATES[-1], samples=1024,
+            region="centered", anomaly_size=ANOMALY_SIZE, informed=True,
+            decode=mode))
         res = BatchShotRunner(kernel, batch_size=256, seed=71,
                               packing="bits").run(1024)
         fails[mode] = int(np.count_nonzero(res.outcomes))
@@ -348,9 +350,10 @@ def _e2e_kernels(d, p, mode_list, onset, cycles, c_win):
     """Both decode-mode kernels for one Fig. 8 end-to-end point."""
     kernels = {}
     for mode in mode_list:
-        k = EndToEndShotKernel(d, p, 0.5, anomaly_size=ANOMALY_SIZE,
-                               onset=onset, cycles=cycles, c_win=c_win,
-                               n_th=8, alpha=0.01, decode=mode)
+        k, _, _ = shot_engine(EndToEndSpec(
+            distance=d, p=p, shots=1, p_ano=0.5, anomaly_size=ANOMALY_SIZE,
+            onset=onset, cycles=cycles, c_win=c_win, n_th=8, alpha=0.01,
+            decode=mode))
         k.prepare()
         kernels[mode] = k
     return kernels
@@ -420,10 +423,10 @@ def bench_e2e_decode_stage_speedup(benchmark):
     # Campaign-level certification: same (seed, batch_size), same rows.
     camp = {}
     for mode in ("pershot", "batched"):
-        kernel = EndToEndShotKernel(
-            9, PHYSICAL_RATES[0], 0.5, anomaly_size=ANOMALY_SIZE,
-            onset=onset, cycles=onset + 18, c_win=c_win, n_th=8,
-            alpha=0.01, decode=mode)
+        kernel, _, _ = shot_engine(EndToEndSpec(
+            distance=9, p=PHYSICAL_RATES[0], shots=192, p_ano=0.5,
+            anomaly_size=ANOMALY_SIZE, onset=onset, cycles=onset + 18,
+            c_win=c_win, n_th=8, alpha=0.01, decode=mode))
         res = BatchShotRunner(kernel, batch_size=64, seed=71,
                               packing="bits").run(192)
         camp[mode] = res.outcomes

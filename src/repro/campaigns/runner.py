@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from repro.campaigns.results import CampaignResult, Provenance, SweepResult
 from repro.campaigns.specs import (DetectionSpec, EndToEndSpec, MemorySpec,
                                    ScalingSpec, ScenarioSpec, StreamingSpec,
                                    Sweep, ThroughputSpec, spec_hash)
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel, chunk_plan,
                              default_chunk_shots, wilson_tight)
@@ -109,63 +110,89 @@ def shot_engine(spec) -> tuple[object, int, int]:
     a :mod:`repro.campaigns.distributed` worker rebuilds the *identical*
     kernel from the spec JSON it was shipped, so a chunk's outcome
     cannot depend on which side constructed the kernel.
+
+    The region-spec kinds are first lowered to a :class:`ScenarioSpec`
+    (:func:`lower_spec`), so there is one spec-to-kernel path.
     """
-    if isinstance(spec, MemorySpec):
-        kernel = MemoryShotKernel(
-            spec.distance, spec.p, region=spec.resolve_region(),
-            p_ano=spec.p_ano, decoder=spec.decoder, informed=spec.informed,
-            cycles=spec.cycles, decode=spec.decode)
-        return (kernel, spec.samples,
-                kernel.cycles * spec.distance * spec.distance)
-    if isinstance(spec, EndToEndSpec):
-        kernel = EndToEndShotKernel(
-            spec.distance, spec.p, spec.p_ano, spec.anomaly_size,
-            spec.onset, spec.cycles, spec.c_win, spec.n_th, spec.alpha,
-            decode=spec.decode)
-        return (kernel, spec.shots,
-                spec.cycles * (spec.distance - 1) * spec.distance)
-    if isinstance(spec, DetectionSpec):
-        normal_cycles, post_cycles = spec.resolved_cycles()
-        kernel = DetectionShotKernel(
-            spec.distance, spec.p, spec.p_ano, spec.anomaly_size,
-            spec.c_win, spec.n_th, spec.alpha, normal_cycles, post_cycles,
-            scan=spec.scan)
-        total = normal_cycles + post_cycles
-        return (kernel, spec.trials,
-                total * (spec.distance - 1) * spec.distance)
+    if isinstance(spec, (MemorySpec, EndToEndSpec, DetectionSpec)):
+        spec = lower_spec(spec)
     if isinstance(spec, ScenarioSpec):
         return _scenario_engine(spec)
     raise TypeError(
         f"{type(spec).__name__} is not a chunked shot campaign")
 
 
+def lower_spec(
+        spec: Union[MemorySpec, EndToEndSpec, DetectionSpec]) -> ScenarioSpec:
+    """A memory / end-to-end / detection spec as its scenario campaign.
+
+    The paper's single MBBE is the one-event scenario:
+
+    * memory: the resolved region is one fixed event at ``p_ano``
+      (``region=None`` is no event at all);
+    * end-to-end: one event of ``anomaly_size`` at a random position
+      per shot, from ``onset`` to the end of the run;
+    * detection: the same random-position event, at ``normal_cycles``.
+
+    Only the kernel is built from the lowered spec: the campaign keeps
+    its own spec, so ``spec_hash``, chunk plans and checkpoints are
+    unchanged.
+    """
+    if isinstance(spec, MemorySpec):
+        region = spec.resolve_region()
+        events = () if region is None else (StrikeEvent(
+            onset=region.t_lo, size=region.size, row=region.row_lo,
+            col=region.col_lo, p_ano=spec.p_ano,
+            duration=(None if region.t_hi is None
+                      else region.t_hi - region.t_lo)),)
+        return ScenarioSpec(
+            spec.distance, spec.p, spec.samples, Scenario(events=events),
+            mode="memory", decoder=spec.decoder, informed=spec.informed,
+            cycles=spec.cycles, decode=spec.decode, packing=spec.packing)
+    if isinstance(spec, EndToEndSpec):
+        strike = StrikeEvent(onset=spec.onset, size=spec.anomaly_size,
+                             p_ano=spec.p_ano)
+        return ScenarioSpec(
+            spec.distance, spec.p, spec.shots, Scenario(events=(strike,)),
+            mode="endtoend", cycles=spec.cycles, c_win=spec.c_win,
+            n_th=spec.n_th, alpha=spec.alpha, decode=spec.decode,
+            packing=spec.packing)
+    if isinstance(spec, DetectionSpec):
+        normal_cycles, post_cycles = spec.resolved_cycles()
+        strike = StrikeEvent(onset=normal_cycles, size=spec.anomaly_size,
+                             p_ano=spec.p_ano)
+        return ScenarioSpec(
+            spec.distance, spec.p, spec.trials, Scenario(events=(strike,)),
+            mode="detection", c_win=spec.c_win, n_th=spec.n_th,
+            alpha=spec.alpha, post_cycles=post_cycles, decode=spec.scan,
+            packing=spec.packing)
+    raise TypeError(f"{type(spec).__name__} has no scenario lowering")
+
+
 def _scenario_engine(spec: ScenarioSpec) -> tuple[object, int, int]:
     """:func:`shot_engine` for the scenario kind, split by mode.
 
-    The first event donates the scalar knobs the legacy kernel
-    constructors still take (``p_ano``, ``anomaly_size``); with the
-    scenario attached the kernels resolve every event per shot, so
-    those scalars only steer estimation defaults.
+    The kernels take the scenario whole: memory applies its fixed
+    events chunk-wide, end-to-end and detection resolve every event
+    per shot (and read the first event's onset and size for the
+    detection unit).
     """
     d, scenario = spec.distance, spec.scenario
     if spec.mode == "memory":
         kernel = MemoryShotKernel(
-            d, spec.p, scenario=scenario, decoder=spec.decoder,
+            d, spec.p, scenario, decoder=spec.decoder,
             informed=spec.informed, cycles=spec.cycles, decode=spec.decode)
         return kernel, spec.shots, kernel.cycles * d * d
-    first = scenario.events[0]
     total = spec.total_cycles()
     if spec.mode == "endtoend":
         kernel = EndToEndShotKernel(
-            d, spec.p, first.p_ano, first.size, scenario.first_onset,
-            spec.total_cycles(), spec.c_win, spec.n_th, spec.alpha,
-            decode=spec.decode, decoder=spec.decoder, scenario=scenario)
+            d, spec.p, scenario, total, spec.c_win, spec.n_th, spec.alpha,
+            decode=spec.decode, decoder=spec.decoder)
         return kernel, spec.shots, total * (d - 1) * d
     normal_cycles, post_cycles = spec.resolved_cycles()
     kernel = DetectionShotKernel(
-        d, spec.p, first.p_ano, first.size, spec.c_win, spec.n_th,
-        spec.alpha, normal_cycles, post_cycles, scan=spec.decode,
-        scenario=scenario)
+        d, spec.p, scenario, spec.c_win, spec.n_th, spec.alpha,
+        normal_cycles, post_cycles, scan=spec.decode)
     return kernel, spec.shots, total * (d - 1) * d
 
 

@@ -73,6 +73,11 @@ def _check_region(region, anomaly_size: int) -> None:
     _check(region is None or isinstance(region, AnomalousRegion)
            or region == "centered",
            "region must be None, an AnomalousRegion, or 'centered'")
+    # An empty window is no strike event at all, yet an informed
+    # decoder would still weight the box: reject it outright.
+    _check(not isinstance(region, AnomalousRegion)
+           or region.t_hi != region.t_lo,
+           "region window must be non-empty (t_hi > t_lo)")
     _check(anomaly_size >= 1, "anomaly_size must be >= 1")
 
 
@@ -83,7 +88,8 @@ class MemorySpec:
     ``region`` may be an :class:`AnomalousRegion`, ``None`` (MBBE free),
     or the string ``"centered"`` — a region of ``anomaly_size`` centered
     on this spec's lattice, resolved at run time so the same base spec
-    sweeps cleanly over ``distance``.
+    sweeps cleanly over ``distance``.  An explicit region needs a
+    non-empty window (``t_hi > t_lo``, or ``t_hi=None``).
     """
 
     kind = "memory"
@@ -227,9 +233,11 @@ class ScenarioSpec:
       the first event's onset and the exposure runs ``post_cycles``
       beyond it.
 
-    The degenerate single-fixed-event, uniform-base scenario is
-    contractually bit-identical per ``(seed, batch_size)`` to the
-    legacy ``region``-field specs (see CONTRACTS.md).
+    The region-field specs (memory, end-to-end, detection) lower to
+    one-event scenario specs before any kernel is built
+    (:func:`repro.campaigns.runner.lower_spec`), so the single-event
+    case is bit-identical to them per ``(seed, batch_size)`` by
+    construction (see CONTRACTS.md).
     """
 
     kind = "scenario"

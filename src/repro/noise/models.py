@@ -137,16 +137,16 @@ class PhenomenologicalNoise:
         p: physical error rate per code cycle for normal qubits.  On the
             lattice this is both the data-edge and measurement flip rate
             (X or Y each occur with probability ``p/2``).
-        p_ano: physical error rate for anomalous qubits (default 0.5, the
+        p_ano: physical error rate inside ``region`` (default 0.5, the
             paper's Sec. III / VII setting).
-        region: optional anomalous region.
-        scenario: optional :class:`repro.scenarios.model.Scenario`
-            generalizing ``region`` to many (possibly overlapping)
-            fixed-position events over an optionally heterogeneous /
-            drifting base rate.  Mutually exclusive with ``region``.
-            A single-event uniform-base scenario draws the *identical*
-            uniform stream as the equivalent ``region`` path, so its
-            samples are bit-identical per ``(seed, batch_size)``
+        region: optional anomalous region: shorthand for a single
+            overlay at ``p_ano``, the paper's one-event case.
+        scenario: optional :class:`repro.scenarios.model.Scenario`:
+            any number of (possibly overlapping) fixed-position events
+            over an optionally heterogeneous / drifting base rate.
+            Mutually exclusive with ``region``.  Either way the model
+            samples through one overlay loop, so a ``region`` and the
+            one-event scenario it describes draw the same stream
             (docs/CONTRACTS.md).
     """
 
@@ -166,12 +166,9 @@ class PhenomenologicalNoise:
             raise ValueError("pass either region or scenario, not both")
         self.distance = distance
         self.p = p
-        self.p_ano = p_ano
-        self.region = region
         self.scenario = scenario
-        self._masks = build_anomalous_masks(distance, region)
-        self._overlays: tuple = ()
         self._thr_cache: dict = {}
+        overlays = [] if region is None else [(region, p_ano)]
         if scenario is not None:
             if not scenario.fixed:
                 raise ValueError(
@@ -183,16 +180,23 @@ class PhenomenologicalNoise:
                     f"scenario rate_field implies distance "
                     f"{scenario.rate_field_distance}, noise model has "
                     f"distance {distance}")
-            self._overlays = tuple(
-                (event.region(),
-                 build_anomalous_masks(distance, event.region()),
-                 event.p_ano)
-                for event in scenario.events)
+            overlays = [(event.region(), event.p_ano)
+                        for event in scenario.events]
+        self._overlays = tuple(
+            (reg, build_anomalous_masks(distance, reg), rate)
+            for reg, rate in overlays)
 
     @property
     def anomalous_masks(self):
-        """(v_mask, h_mask, m_mask) boolean arrays of anomalous positions."""
-        return self._masks
+        """(v_mask, h_mask, m_mask) boolean arrays of anomalous positions.
+
+        The union over every overlay (all ``False`` without one).
+        """
+        masks = build_anomalous_masks(self.distance, None)
+        for _, overlay, _ in self._overlays:
+            for acc, mask in zip(masks, overlay, strict=True):
+                acc |= mask
+        return masks
 
     # ------------------------------------------------------------------
     def sample(self, cycles: int, rng: np.random.Generator):
@@ -204,6 +208,35 @@ class PhenomenologicalNoise:
         v, h, m = self.sample_batch(1, cycles, rng)
         return v[0], h[0], m[0]
 
+    def _thresholds(self, cycles: int):
+        """Per-cycle base-rate arrays, or ``None`` for a uniform base.
+
+        Cached per ``cycles`` — the expansion is pure in (scenario, p,
+        distance, cycles) and every chunk of a campaign asks for the
+        same window.
+        """
+        if self.scenario is not None and not self.scenario.uniform_base:
+            if cycles not in self._thr_cache:
+                self._thr_cache[cycles] = self.scenario.rate_arrays(
+                    self.distance, self.p, cycles)
+            return self._thr_cache[cycles]
+        return None
+
+    def _active_overlays(self, cycles: int, uniform: bool):
+        """``(t_lo, t_hi, masks, p_ano)`` of each overlay that draws.
+
+        An overlay is skipped when its window clips to nothing, or when
+        it would redraw a uniform base at the base rate itself (the
+        no-op gate: such an overlay consumes no uniforms).
+        """
+        for region, masks, p_ano in self._overlays:
+            if uniform and p_ano == self.p:
+                continue
+            t_hi = region.t_hi if region.t_hi is not None else cycles
+            t_lo, t_hi = max(0, region.t_lo), min(cycles, t_hi)
+            if t_hi > t_lo:
+                yield t_lo, t_hi, masks, p_ano
+
     def sample_batch(self, shots: int, cycles: int,
                      rng: np.random.Generator):
         """Sample error arrays for a whole batch of shots at once.
@@ -213,28 +246,27 @@ class PhenomenologicalNoise:
         ``(shots, T, d-1, d)``.  One generator call per array keeps the
         per-shot Python overhead of a Monte-Carlo campaign out of the
         sampling path entirely.
+
+        Draw discipline (the bit-identity contract): the base arrays
+        draw in v, h, m order with one generator call each, compared
+        against the scalar ``p`` (or the scenario's per-cycle base-rate
+        arrays); then overlays overwrite in declaration order, each
+        drawing v, h, m blocks over its clipped window and masks.
         """
         if shots < 1:
             raise ValueError("need at least one shot")
-        if self.scenario is not None:
-            return self._sample_batch_scenario(shots, cycles, rng)
         d = self.distance
-        v = rng.random((shots, cycles, d, d)) < self.p
-        h = rng.random((shots, cycles, d - 1, d - 1)) < self.p
-        m = rng.random((shots, cycles, d - 1, d)) < self.p
-        if self.region is not None and self.p_ano != self.p:
-            v_mask, h_mask, m_mask = self._masks
-            t_lo = self.region.t_lo
-            t_hi = self.region.t_hi if self.region.t_hi is not None else cycles
-            t_lo, t_hi = max(0, t_lo), min(cycles, t_hi)
-            if t_hi > t_lo:
-                span = t_hi - t_lo
-                v[:, t_lo:t_hi][:, :, v_mask] = (
-                    rng.random((shots, span, int(v_mask.sum()))) < self.p_ano)
-                h[:, t_lo:t_hi][:, :, h_mask] = (
-                    rng.random((shots, span, int(h_mask.sum()))) < self.p_ano)
-                m[:, t_lo:t_hi][:, :, m_mask] = (
-                    rng.random((shots, span, int(m_mask.sum()))) < self.p_ano)
+        thr = self._thresholds(cycles)
+        thr_v, thr_h, thr_m = (self.p,) * 3 if thr is None else thr
+        v = rng.random((shots, cycles, d, d)) < thr_v
+        h = rng.random((shots, cycles, d - 1, d - 1)) < thr_h
+        m = rng.random((shots, cycles, d - 1, d)) < thr_m
+        for t_lo, t_hi, masks, p_ano in self._active_overlays(
+                cycles, thr is None):
+            span = t_hi - t_lo
+            for arr, mask in zip((v, h, m), masks, strict=True):
+                arr[:, t_lo:t_hi][:, :, mask] = (
+                    rng.random((shots, span, int(mask.sum()))) < p_ano)
         return v, h, m
 
     def sample_batch_packed(self, shots: int, cycles: int,
@@ -248,11 +280,11 @@ class PhenomenologicalNoise:
         :mod:`repro.sim.bitops`).
 
         Draws the *identical* uniform stream as :meth:`sample_batch` —
-        each array is filled in word-aligned shot blocks whose
-        concatenation is the same C-ordered sequence one big
-        ``rng.random`` call would produce — so for a given generator
-        state the packed bits equal the float path's bits exactly, while
-        the float scratch never exceeds one
+        each array (and each overlay block) is filled in word-aligned
+        shot blocks whose concatenation is the same C-ordered sequence
+        one big ``rng.random`` call would produce — so for a given
+        generator state the packed bits equal the float path's bits
+        exactly, while the float scratch never exceeds one
         :data:`PACKED_SAMPLE_CHUNK`-shot block (~1 bit stored per
         sampled bit instead of 8 bytes).
         """
@@ -260,110 +292,6 @@ class PhenomenologicalNoise:
 
         if shots < 1:
             raise ValueError("need at least one shot")
-        if self.scenario is not None:
-            return self._sample_batch_packed_scenario(shots, cycles, rng)
-        d = self.distance
-        words = word_count(shots)
-        shapes = ((d, d), (d - 1, d - 1), (d - 1, d))
-
-        def blocks():
-            for start in range(0, shots, PACKED_SAMPLE_CHUNK):
-                n = min(PACKED_SAMPLE_CHUNK, shots - start)
-                yield start // 64, word_count(n), n
-
-        packed = []
-        for shape in shapes:
-            arr = np.empty((words, cycles) + shape, dtype=np.uint64)
-            for w0, nw, n in blocks():
-                arr[w0:w0 + nw] = pack_shots(
-                    rng.random((n, cycles) + shape) < self.p)
-            packed.append(arr)
-
-        if self.region is not None and self.p_ano != self.p:
-            t_lo = self.region.t_lo
-            t_hi = (self.region.t_hi if self.region.t_hi is not None
-                    else cycles)
-            t_lo, t_hi = max(0, t_lo), min(cycles, t_hi)
-            if t_hi > t_lo:
-                span = t_hi - t_lo
-                for arr, mask in zip(packed, self._masks, strict=True):
-                    k = int(mask.sum())
-                    for w0, nw, n in blocks():
-                        arr[w0:w0 + nw, t_lo:t_hi][:, :, mask] = pack_shots(
-                            rng.random((n, span, k)) < self.p_ano)
-        return tuple(packed)
-
-    # ------------------------------------------------------------------
-    # Scenario sampling (multi-event, heterogeneous/drifting base)
-    # ------------------------------------------------------------------
-    def _thresholds(self, cycles: int):
-        """Per-cycle base-rate arrays, or ``None`` for a uniform base.
-
-        Cached per ``cycles`` — the expansion is pure in (scenario, p,
-        distance, cycles) and every chunk of a campaign asks for the
-        same window.
-        """
-        if self.scenario is None or self.scenario.uniform_base:
-            return None
-        cached = self._thr_cache.get(cycles)
-        if cached is None:
-            cached = self.scenario.rate_arrays(self.distance, self.p, cycles)
-            self._thr_cache[cycles] = cached
-        return cached
-
-    def _overlay_window(self, region: AnomalousRegion, cycles: int):
-        """The clipped ``(t_lo, t_hi)`` of an event inside the window."""
-        t_hi = region.t_hi if region.t_hi is not None else cycles
-        return max(0, region.t_lo), min(cycles, t_hi)
-
-    def _sample_batch_scenario(self, shots: int, cycles: int,
-                               rng: np.random.Generator):
-        """:meth:`sample_batch` for a scenario noise model.
-
-        Draw discipline (the bit-identity contract): the base arrays
-        draw in v, h, m order with one generator call each — a uniform
-        base compares against the scalar ``p`` exactly as the legacy
-        path — then events overwrite in declaration order, each drawing
-        v, h, m overlay blocks of the same shapes the legacy region
-        overwrite draws.  A single-event uniform-base scenario is
-        therefore bit-identical to the legacy ``region`` path.
-        """
-        d = self.distance
-        thr = self._thresholds(cycles)
-        if thr is None:
-            v = rng.random((shots, cycles, d, d)) < self.p
-            h = rng.random((shots, cycles, d - 1, d - 1)) < self.p
-            m = rng.random((shots, cycles, d - 1, d)) < self.p
-        else:
-            thr_v, thr_h, thr_m = thr
-            v = rng.random((shots, cycles, d, d)) < thr_v
-            h = rng.random((shots, cycles, d - 1, d - 1)) < thr_h
-            m = rng.random((shots, cycles, d - 1, d)) < thr_m
-        for region, masks, p_ano in self._overlays:
-            if thr is None and p_ano == self.p:
-                continue  # the legacy "region at base rate" no-op gate
-            t_lo, t_hi = self._overlay_window(region, cycles)
-            if t_hi <= t_lo:
-                continue
-            span = t_hi - t_lo
-            for arr, mask in zip((v, h, m), masks, strict=True):
-                arr[:, t_lo:t_hi][:, :, mask] = (
-                    rng.random((shots, span, int(mask.sum()))) < p_ano)
-        return v, h, m
-
-    def _sample_batch_packed_scenario(self, shots: int, cycles: int,
-                                      rng: np.random.Generator):
-        """:meth:`sample_batch_packed` for a scenario noise model.
-
-        Same word-aligned block structure as the legacy packed path
-        (arrays outer, :data:`PACKED_SAMPLE_CHUNK`-shot blocks inner,
-        overlays after the base), so the packed bits equal
-        :meth:`_sample_batch_scenario`'s bits for any scenario, and a
-        single-event uniform-base scenario equals the legacy packed
-        region path stream for stream.
-        """
-        from repro.sim.bitops import pack_shots, word_count
-
         d = self.distance
         words = word_count(shots)
         shapes = ((d, d), (d - 1, d - 1), (d - 1, d))
@@ -383,12 +311,8 @@ class PhenomenologicalNoise:
                     u < (self.p if thr is None else thr[idx]))
             packed.append(arr)
 
-        for region, masks, p_ano in self._overlays:
-            if thr is None and p_ano == self.p:
-                continue
-            t_lo, t_hi = self._overlay_window(region, cycles)
-            if t_hi <= t_lo:
-                continue
+        for t_lo, t_hi, masks, p_ano in self._active_overlays(
+                cycles, thr is None):
             span = t_hi - t_lo
             for arr, mask in zip(packed, masks, strict=True):
                 k = int(mask.sum())

@@ -12,11 +12,11 @@ profile (per-cycle multiplier).  Events may carry a
 semantics of ``repro.noise.leakage`` into specced campaigns.
 
 Scenarios are frozen and JSON-round-trippable (the campaign spec
-discipline, reprolint RL004), and the degenerate case is exact by
-construction: a scenario with one fixed event over a uniform base is
-*bit-identical* to the legacy single-region noise path per
-``(seed, batch_size)`` — see :meth:`Scenario.legacy_equivalent` and
-docs/CONTRACTS.md.
+discipline, reprolint RL004).  They are the one workload representation
+below the spec layer: the memory / end-to-end / detection specs lower
+to one-event scenarios (:func:`repro.campaigns.runner.lower_spec`), so
+the paper's single region is exactly the degenerate case
+(docs/CONTRACTS.md).
 """
 
 from __future__ import annotations
@@ -139,13 +139,13 @@ class StrikeEvent:
 
         Random positions draw through
         :meth:`AnomalousRegion.random` — the single place strike
-        positions are sampled — so a one-event scenario consumes the
-        generator exactly as the legacy per-shot region draw.
+        positions are sampled — and fixed events draw nothing.
         """
-        if self.fixed:
-            return self.region()
-        return AnomalousRegion.random(distance, self.size, rng,
-                                      t_lo=self.onset, t_hi=self.t_hi)
+        if self.row is None or self.col is None:
+            return AnomalousRegion.random(distance, self.size, rng,
+                                          t_lo=self.onset, t_hi=self.t_hi)
+        return AnomalousRegion(self.row, self.col, self.size,
+                               t_lo=self.onset, t_hi=self.t_hi)
 
     # ------------------------------------------------------------------
     @classmethod
@@ -258,10 +258,6 @@ class Scenario:
         return all(event.fixed for event in self.events)
 
     @property
-    def single_event(self) -> bool:
-        return len(self.events) == 1
-
-    @property
     def first_onset(self) -> int:
         """Earliest event onset (0 for an event-free scenario)."""
         if not self.events:
@@ -276,19 +272,6 @@ class Scenario:
         return len(self.rate_field) + 1
 
     # ------------------------------------------------------------------
-    def legacy_equivalent(self) -> Optional[tuple]:
-        """``(region, p_ano)`` iff this scenario *is* the legacy path.
-
-        Non-``None`` exactly when the scenario is one fixed event over
-        a uniform undrifted base — the case contractually bit-identical
-        to ``PhenomenologicalNoise(..., region=..., p_ano=...)`` per
-        ``(seed, batch_size)``.
-        """
-        if not (self.uniform_base and self.single_event and self.fixed):
-            return None
-        event = self.events[0]
-        return event.region(), event.p_ano
-
     def resolve_regions(self, distance: int,
                         rng: np.random.Generator) -> tuple:
         """Per-event regions for one shot, in declaration order."""

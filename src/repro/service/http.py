@@ -9,7 +9,8 @@ POST     ``/campaigns``                      submit a spec (the request body
                                              is the spec JSON); 200 = served
                                              from the result cache, 202 =
                                              scheduled or coalesced, 400 =
-                                             malformed spec
+                                             malformed spec, 413 = body
+                                             over ``MAX_BODY_BYTES``
 GET      ``/campaigns/<spec_hash>``          result / status; 200 complete,
                                              202 in flight, 404 unknown,
                                              500 failed
@@ -40,6 +41,12 @@ from repro.service.store import ServiceStore, read_partial
 #: Request header naming the submitting tenant (fairness unit).
 TENANT_HEADER = "X-Repro-Tenant"
 DEFAULT_TENANT = "public"
+
+#: Largest request body a ``POST`` may declare.  Catalog specs serialize
+#: to well under a kilobyte and a distance-21 ``rate_field`` to about
+#: ten; a larger ``Content-Length`` is refused with 413 before any of
+#: the body is read, so a client cannot make the server buffer it.
+MAX_BODY_BYTES = 1 << 20
 
 
 def _default_executor_factory() -> Callable[[], Executor]:
@@ -200,6 +207,12 @@ class _Handler(BaseHTTPRequestHandler):
             length = 0
         if length <= 0:
             self._send(400, {"error": "request body must be the spec JSON"})
+            return
+        if length > MAX_BODY_BYTES:
+            # The body is never read, so the connection cannot be reused.
+            self.close_connection = True
+            self._send(413, {"error": f"request body of {length} bytes "
+                                      f"exceeds {MAX_BODY_BYTES}"})
             return
         body = self.rfile.read(length)
         tenant = self.headers.get(TENANT_HEADER, DEFAULT_TENANT).strip() \

@@ -278,6 +278,36 @@ def _windowed_over_batch(activity: np.ndarray, c_win: int,
     return over, over.sum(axis=(2, 3))
 
 
+def _event_weights(p: float, events) -> tuple:
+    """Relative anomalous edge weight of each event, in order."""
+    return tuple(relative_anomalous_weight(p, e.p_ano) for e in events)
+
+
+def _region_model(distance: int, regions: tuple, weights: tuple):
+    """The decoding model that knows ``regions`` (uniform when empty).
+
+    One region is a :class:`DistanceModel`; two or more compose a
+    :class:`MultiRegionDistanceModel` with per-event ``weights``.
+    """
+    if not regions:
+        return DistanceModel(distance)
+    if len(regions) == 1:
+        return DistanceModel(distance, regions[0], weights[0])
+    return MultiRegionDistanceModel(distance, regions, weights)
+
+
+def _base_noise(distance: int, p: float,
+                scenario: Scenario) -> PhenomenologicalNoise:
+    """The event-free base noise of a scenario with per-shot events.
+
+    The sample stages overwrite each shot's event regions themselves;
+    the noise model carries only the (possibly heterogeneous or
+    drifting) base rate.
+    """
+    base = Scenario(rate_field=scenario.rate_field, drift=scenario.drift)
+    return PhenomenologicalNoise(distance, p, scenario=base)
+
+
 # ----------------------------------------------------------------------
 # Shot kernels
 # ----------------------------------------------------------------------
@@ -289,6 +319,11 @@ class MemoryShotKernel:
     sequential ``run_once`` calls (the same error model and the exact
     same matching; only the order in which the uniforms are drawn
     differs).
+
+    The workload is a :class:`~repro.scenarios.model.Scenario` whose
+    events all sit at fixed positions (``None``, no events, is the
+    MBBE-free memory); the noise model applies the events chunk-wide.
+    ``informed=True`` decodes with the events' boxes and weights.
     """
 
     #: column of ``run_batch`` output that feeds the streamed estimate
@@ -296,30 +331,18 @@ class MemoryShotKernel:
     default_batch_size = 512
 
     def __init__(self, distance: int, p: float,
-                 region: Optional[AnomalousRegion] = None,
-                 p_ano: float = 0.5, decoder: str = "greedy",
+                 scenario: Optional[Scenario] = None,
+                 decoder: str = "greedy",
                  informed: bool = False, cycles: Optional[int] = None,
-                 cache_matchings: bool = True, decode: str = "batched",
-                 scenario: Optional[Scenario] = None):
+                 cache_matchings: bool = True, decode: str = "batched"):
         if decode not in DECODE_MODES:
             raise ValueError(f"decode must be one of {DECODE_MODES}")
-        if scenario is not None:
-            if region is not None:
-                raise ValueError("pass either region or scenario, not both")
-            if not scenario.fixed:
-                raise ValueError(
-                    "memory-kernel scenarios need fixed event positions")
-            legacy = scenario.legacy_equivalent()
-            if legacy is not None:
-                # The degenerate scenario *is* the legacy kernel — route
-                # through the legacy fields so outcomes are structurally
-                # bit-identical per (seed, batch_size).
-                region, p_ano = legacy
-                scenario = None
+        scenario = scenario if scenario is not None else Scenario()
+        if not scenario.fixed:
+            raise ValueError(
+                "memory-kernel scenarios need fixed event positions")
         self.distance = distance
         self.p = p
-        self.region = region
-        self.p_ano = p_ano
         self.scenario = scenario
         self.decoder = decoder
         self.informed = informed
@@ -334,28 +357,13 @@ class MemoryShotKernel:
         """Build noise/lattice/decoder once (per process, per worker)."""
         if self._state is not None:
             return
-        if self.scenario is not None:
-            noise = PhenomenologicalNoise(self.distance, self.p,
-                                          scenario=self.scenario)
-        else:
-            noise = PhenomenologicalNoise(self.distance, self.p, self.p_ano,
-                                          self.region)
+        noise = PhenomenologicalNoise(self.distance, self.p,
+                                      scenario=self.scenario)
         lattice = SyndromeLattice(self.distance)
-        if self.informed and self.scenario is not None \
-                and self.scenario.events:
-            regions = tuple(e.region() for e in self.scenario.events)
-            weights = tuple(relative_anomalous_weight(self.p, e.p_ano)
-                            for e in self.scenario.events)
-            if len(regions) == 1:
-                model = DistanceModel(self.distance, regions[0], weights[0])
-            else:
-                model = MultiRegionDistanceModel(self.distance, regions,
-                                                 weights)
-        elif self.informed and self.region is not None:
-            w_ano = relative_anomalous_weight(self.p, self.p_ano)
-            model = DistanceModel(self.distance, self.region, w_ano)
-        else:
-            model = DistanceModel(self.distance)
+        events = self.scenario.events if self.informed else ()
+        model = _region_model(
+            self.distance, tuple(e.region() for e in events),
+            _event_weights(self.p, events))
         mwpm = MWPMDecoder(model) if self.decoder == "mwpm" else None
         self.cache = MatchingCache() if self.cache_matchings else None
         self._arena = ScratchArena()
@@ -439,34 +447,36 @@ class EndToEndShotKernel:
     activity stream (exact under the discard-pre-onset semantics: masks
     from discarded events are cleared, and the first accepted event ends
     the shot, so no mask can ever touch a scored detection).
+
+    The strike timeline is a :class:`~repro.scenarios.model.Scenario`
+    with at least one event; events without positions are re-drawn per
+    shot by the sample stage.  The detection unit scans from the first
+    onset and sizes its region estimate after the first event.
     """
 
     success_column = 1  # detected-strategy failures drive early stopping
     default_batch_size = 64
 
-    def __init__(self, distance: int, p: float, p_ano: float,
-                 anomaly_size: int, onset: int, cycles: int,
-                 c_win: int, n_th: int, alpha: float,
-                 decode: str = "batched", decoder: str = "greedy",
-                 scenario: Optional[Scenario] = None):
+    def __init__(self, distance: int, p: float, scenario: Scenario,
+                 cycles: int, c_win: int, n_th: int, alpha: float,
+                 decode: str = "batched", decoder: str = "greedy"):
         if decode not in DECODE_MODES:
             raise ValueError(f"decode must be one of {DECODE_MODES}")
         if decoder not in ("greedy", "mwpm"):
             raise ValueError("decoder must be 'greedy' or 'mwpm'")
-        if scenario is not None and not scenario.events:
+        if not scenario.events:
             raise ValueError("end-to-end scenarios need at least one event")
         self.distance = distance
         self.p = p
-        self.p_ano = p_ano
-        self.anomaly_size = anomaly_size
-        self.onset = onset
+        self.scenario = scenario
+        self.onset = scenario.first_onset
+        self.anomaly_size = scenario.events[0].size
         self.cycles = cycles
         self.c_win = c_win
         self.n_th = n_th
         self.alpha = alpha
         self.decode = decode
         self.decoder = decoder
-        self.scenario = scenario
         self._state = None
         self._arena: Optional[ScratchArena] = None
 
@@ -477,23 +487,9 @@ class EndToEndShotKernel:
         stats = SyndromeStatistics.from_activity_rate(
             expected_activity_rate(self.p))
         v_th = detection_threshold(stats, self.c_win, self.alpha)
-        if self.scenario is not None and not self.scenario.uniform_base:
-            # Events are applied per shot by the sample stage; the noise
-            # model carries only the heterogeneous/drifting base field.
-            base = Scenario(events=(), rate_field=self.scenario.rate_field,
-                            drift=self.scenario.drift)
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               scenario=base)
-        else:
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               self.p_ano)
+        base_noise = _base_noise(self.distance, self.p, self.scenario)
         naive_model = DistanceModel(self.distance)
-        if self.scenario is not None:
-            w_ano: object = tuple(
-                relative_anomalous_weight(self.p, e.p_ano)
-                for e in self.scenario.events)
-        else:
-            w_ano = relative_anomalous_weight(self.p, self.p_ano)
+        w_ano = _event_weights(self.p, self.scenario.events)
         self._arena = ScratchArena()
         self._state = (lattice, v_th, base_noise, naive_model, w_ano)
 
@@ -506,9 +502,7 @@ class EndToEndShotKernel:
         through the per-shot scoring loop instead.
         """
         w = self._state[4]
-        if isinstance(w, tuple):
-            return w[0] if all(x == w[0] for x in w) else None
-        return w
+        return w[0] if all(x == w[0] for x in w) else None
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -582,32 +576,13 @@ class EndToEndShotKernel:
         return (min(cycles, event_cycle + d), estimated,
                 event_cycle - self.onset)
 
-    def _decode_model(self, regions):
+    def _decode_model(self, regions: tuple):
         """The informed model for one shot's known region(s).
 
-        ``regions`` may be ``None`` (uniform), one
-        :class:`AnomalousRegion` (the legacy path and the detection
-        unit's estimate), or a sequence of regions (a scenario shot) —
-        length 0 and 1 reduce to the uniform and single-region models,
-        two or more compose a
-        :class:`~repro.decoding.weights.MultiRegionDistanceModel` with
-        the scenario's per-event weights.  A single estimate under a
-        multi-event scenario uses the first event's weight.
+        ``regions`` is a shot's per-event regions, or the one-tuple of
+        the detection unit's estimate (weighted as the first event).
         """
-        w = self._state[4]
-        ws = w if isinstance(w, tuple) else (w,)
-        if regions is None:
-            return self._state[3]
-        if isinstance(regions, AnomalousRegion):
-            return DistanceModel(self.distance, regions, ws[0])
-        regions = tuple(regions)
-        if not regions:
-            return self._state[3]
-        if len(ws) != len(regions):
-            ws = (ws[0],) * len(regions)
-        if len(regions) == 1:
-            return DistanceModel(self.distance, regions[0], ws[0])
-        return MultiRegionDistanceModel(self.distance, regions, ws)
+        return _region_model(self.distance, regions, self._state[4])
 
     def _matching_parity(self, model, nodes: np.ndarray) -> int:
         """One shot's matching cut parity under the spec'd decoder."""
@@ -619,7 +594,7 @@ class EndToEndShotKernel:
         return greedy_cut_parity(model, nodes)
 
     def _score(self, nodes: np.ndarray, error_parity: int,
-               naive_parity: int, true_region,
+               naive_parity: int, true_region: tuple,
                estimated: Optional[AnomalousRegion]):
         """(naive, detected, oracle) failures for one decoded shot.
 
@@ -633,7 +608,7 @@ class EndToEndShotKernel:
         if estimated is None:
             return naive, naive, oracle
         detected = error_parity ^ self._matching_parity(
-            self._decode_model(estimated), nodes)
+            self._decode_model((estimated,)), nodes)
         return naive, detected, oracle
 
     def pipeline(self) -> ShotPipeline:
@@ -732,31 +707,32 @@ class DetectionShotKernel:
     (the default) runs one windowed-count pass over the whole chunk;
     ``"pershot"`` keeps the per-trial scan as the in-tree reference —
     outputs are bit-equal either way.
+
+    The strike timeline is a :class:`~repro.scenarios.model.Scenario`
+    with at least one event; the first event is the one each trial is
+    scored against (later ones ride inside the post-strike stream).
     """
 
     success_column = 1
     default_batch_size = 16
 
-    def __init__(self, distance: int, p: float, p_ano: float,
-                 anomaly_size: int, c_win: int, n_th: int, alpha: float,
+    def __init__(self, distance: int, p: float, scenario: Scenario,
+                 c_win: int, n_th: int, alpha: float,
                  normal_cycles: int, post_cycles: int,
-                 scan: str = "batched",
-                 scenario: Optional[Scenario] = None):
+                 scan: str = "batched"):
         if scan not in DECODE_MODES:
             raise ValueError(f"scan must be one of {DECODE_MODES}")
-        if scenario is not None and not scenario.events:
+        if not scenario.events:
             raise ValueError("detection scenarios need at least one event")
         self.scan = scan
         self.distance = distance
         self.p = p
-        self.p_ano = p_ano
-        self.anomaly_size = anomaly_size
+        self.scenario = scenario
         self.c_win = c_win
         self.n_th = n_th
         self.alpha = alpha
         self.normal_cycles = normal_cycles
         self.post_cycles = post_cycles
-        self.scenario = scenario
         self._state = None
 
     def prepare(self) -> None:
@@ -765,14 +741,7 @@ class DetectionShotKernel:
         stats = SyndromeStatistics.from_activity_rate(
             expected_activity_rate(self.p))
         v_th = detection_threshold(stats, self.c_win, self.alpha)
-        if self.scenario is not None and not self.scenario.uniform_base:
-            base = Scenario(events=(), rate_field=self.scenario.rate_field,
-                            drift=self.scenario.drift)
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               scenario=base)
-        else:
-            base_noise = PhenomenologicalNoise(self.distance, self.p,
-                                               self.p_ano)
+        base_noise = _base_noise(self.distance, self.p, self.scenario)
         self._state = (v_th, base_noise, SyndromeLattice(self.distance))
 
     def __getstate__(self):
@@ -780,7 +749,7 @@ class DetectionShotKernel:
         state["_state"] = None
         return state
 
-    def _score_trial(self, activity: np.ndarray, region) -> tuple:
+    def _score_trial(self, activity: np.ndarray, regions: tuple) -> tuple:
         """One trial's windowed-count scan and outcome row.
 
         Returns ``(false_positive, detected, latency, position_error)``;
@@ -789,7 +758,7 @@ class DetectionShotKernel:
         """
         v_th, _, _ = self._state
         return self._score_scan(*_windowed_over(activity, self.c_win,
-                                                v_th), region)
+                                                v_th), regions)
 
     def _score_all(self, activity: np.ndarray,
                    regions: list) -> np.ndarray:
@@ -808,17 +777,16 @@ class DetectionShotKernel:
         return out
 
     def _score_scan(self, over: np.ndarray, n_over: np.ndarray,
-                    region) -> tuple:
+                    regions: tuple) -> tuple:
         """The scan tail shared by the per-shot and batched passes.
 
-        ``region`` may be a sequence of per-event regions (a scenario
-        trial): the *first* event is the one the false-positive window
-        and position error are scored against — later back-to-back
-        strikes ride inside the post-detection stream, stressing the
-        detector's post-clear blindness window.
+        ``regions`` is the trial's per-event regions: the *first* event
+        is the one the false-positive window and position error are
+        scored against — later back-to-back strikes ride inside the
+        post-detection stream, stressing the detector's post-clear
+        blindness window.
         """
-        if isinstance(region, (list, tuple)):
-            region = region[0]
+        region = regions[0]
         c_win, onset = self.c_win, self.normal_cycles
         if not len(n_over):
             return (0.0, 0.0, -1.0, np.nan)

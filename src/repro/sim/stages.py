@@ -40,7 +40,8 @@ from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 import numpy as np
 
 from repro.decoding.batched import ScratchArena, batched_region_cut_parities
-from repro.noise.models import AnomalousRegion, build_anomalous_masks
+from repro.noise.models import (AnomalousRegion, PhenomenologicalNoise,
+                                build_anomalous_masks)
 from repro.sim import backend as _backend_module
 from repro.sim import bitops
 
@@ -299,51 +300,41 @@ class MemoryAccumulateStage(_KernelStage):
 # ----------------------------------------------------------------------
 # End-to-end kernel stages
 # ----------------------------------------------------------------------
-class EndToEndSampleStage(_KernelStage):
-    """Per-shot strike regions + base draw + anomalous overwrites.
+def _sample_strikes(kernel: Any, ctx: StageContext, state: StageState,
+                    base_noise: PhenomenologicalNoise, cycles: int) -> None:
+    """Per-shot event regions + base draw + anomalous overwrites.
 
-    With a scenario, each shot resolves the *whole* event list to a
-    region tuple (random positions draw through the same
-    :meth:`AnomalousRegion.random` calls, shot by shot) and the
-    overwrites apply in event-declaration order with each event's own
-    ``p_ano`` — so a one-random-event scenario consumes the identical
-    uniform stream as the legacy path and is bit-identical per
-    ``(seed, batch_size)``.
+    Each shot resolves the kernel scenario's whole event list to a
+    region tuple (random positions draw through
+    :meth:`AnomalousRegion.random`, shot by shot, before any error
+    array is sampled); the overwrites then apply in event-declaration
+    order with each event's own ``p_ano``.
     """
+    d, rng, events = kernel.distance, ctx.rng, kernel.scenario.events
+    state.regions = [kernel.scenario.resolve_regions(d, rng)
+                     for _ in range(ctx.shots)]
+    if ctx.packing == "bits":
+        v, h, m = base_noise.sample_batch_packed(ctx.shots, cycles, rng)
+        overwrite = _overwrite_anomalous_packed
+    else:
+        v, h, m = base_noise.sample_batch(ctx.shots, cycles, rng)
+        overwrite = _overwrite_anomalous
+    # Regions differ per shot, so the anomalous overwrite is the one
+    # per-shot sampling step (touching only the region's cells).
+    for s, regions in enumerate(state.regions):
+        for region, event in zip(regions, events, strict=True):
+            overwrite(v, h, m, s, region, d, event.p_ano, rng)
+    state.v, state.h, state.m = v, h, m
+
+
+class EndToEndSampleStage(_KernelStage):
+    """Per-shot strike regions + base draw + anomalous overwrites."""
 
     name = "sample"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
-        kernel = self.kernel
-        base_noise = kernel._state[2]
-        d, cycles = kernel.distance, kernel.cycles
-        rng = ctx.rng
-        scenario = getattr(kernel, "scenario", None)
-        if scenario is not None:
-            state.regions = [scenario.resolve_regions(d, rng)
-                             for _ in range(ctx.shots)]
-            p_anos = [event.p_ano for event in scenario.events]
-        else:
-            state.regions = [AnomalousRegion.random(d, kernel.anomaly_size,
-                                                    rng, t_lo=kernel.onset)
-                             for _ in range(ctx.shots)]
-            p_anos = None
-        if ctx.packing == "bits":
-            v, h, m = base_noise.sample_batch_packed(ctx.shots, cycles, rng)
-            overwrite = _overwrite_anomalous_packed
-        else:
-            v, h, m = base_noise.sample_batch(ctx.shots, cycles, rng)
-            overwrite = _overwrite_anomalous
-        # Regions differ per shot, so the anomalous overwrite is the one
-        # per-shot sampling step (touching only the region's cells).
-        if p_anos is None:
-            for s, region in enumerate(state.regions):
-                overwrite(v, h, m, s, region, d, kernel.p_ano, rng)
-        else:
-            for s, regs in enumerate(state.regions):
-                for region, p_ano in zip(regs, p_anos, strict=True):
-                    overwrite(v, h, m, s, region, d, p_ano, rng)
-        state.v, state.h, state.m = v, h, m
+        _sample_strikes(self.kernel, ctx, state, self.kernel._state[2],
+                        self.kernel.cycles)
 
 
 class EndToEndExtractStage(_KernelStage):
@@ -430,10 +421,9 @@ class EndToEndDecodeStage(_KernelStage):
         shots = len(state.nodes_list)
         naive = kernel._naive_parities(state.nodes_list)
         out = np.empty((shots, 4), dtype=np.int64)
-        w_ano = (kernel._batched_w_ano
-                 if hasattr(kernel, "_batched_w_ano") else None)
+        w_ano = kernel._batched_w_ano
         use_batched = (kernel.decode == "batched"
-                       and getattr(kernel, "decoder", "greedy") == "greedy"
+                       and kernel.decoder == "greedy"
                        and w_ano is not None)
         if use_batched:
             err = state.parities.astype(np.int8)
@@ -474,43 +464,18 @@ class EndToEndAccumulateStage(_KernelStage):
 # Detection kernel stages
 # ----------------------------------------------------------------------
 class DetectionSampleStage(_KernelStage):
-    """Per-trial strike regions + base draw + anomalous overwrites."""
+    """Per-trial strike regions + base draw + anomalous overwrites.
+
+    Event onsets are the scenario's own (back-to-back strikes land
+    inside the post window); positions resolve per trial.
+    """
 
     name = "sample"
 
     def run(self, ctx: StageContext, state: StageState) -> None:
         kernel = self.kernel
-        base_noise = kernel._state[1]
-        total = kernel.normal_cycles + kernel.post_cycles
-        rng = ctx.rng
-        scenario = getattr(kernel, "scenario", None)
-        if scenario is not None:
-            # Event onsets are the scenario's own (back-to-back strikes
-            # land inside the post window); positions resolve per trial.
-            state.regions = [scenario.resolve_regions(kernel.distance, rng)
-                             for _ in range(ctx.shots)]
-            p_anos = [event.p_ano for event in scenario.events]
-        else:
-            state.regions = [AnomalousRegion.random(
-                kernel.distance, kernel.anomaly_size, rng,
-                t_lo=kernel.normal_cycles) for _ in range(ctx.shots)]
-            p_anos = None
-        if ctx.packing == "bits":
-            v, h, m = base_noise.sample_batch_packed(ctx.shots, total, rng)
-            overwrite = _overwrite_anomalous_packed
-        else:
-            v, h, m = base_noise.sample_batch(ctx.shots, total, rng)
-            overwrite = _overwrite_anomalous
-        if p_anos is None:
-            for s, region in enumerate(state.regions):
-                overwrite(v, h, m, s, region, kernel.distance,
-                          kernel.p_ano, rng)
-        else:
-            for s, regs in enumerate(state.regions):
-                for region, p_ano in zip(regs, p_anos, strict=True):
-                    overwrite(v, h, m, s, region, kernel.distance, p_ano,
-                              rng)
-        state.v, state.h, state.m = v, h, m
+        _sample_strikes(kernel, ctx, state, kernel._state[1],
+                        kernel.normal_cycles + kernel.post_cycles)
 
 
 class DetectionExtractStage(_KernelStage):

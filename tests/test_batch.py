@@ -11,12 +11,14 @@ from repro.decoding import (
     greedy_cut_parity,
     greedy_decode_fast,
 )
+from repro.campaigns import EndToEndSpec, MemorySpec
+from repro.campaigns.runner import shot_engine
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import (
     BatchShotRunner,
     DetectionShotKernel,
-    EndToEndShotKernel,
     MatchingCache,
     MemoryShotKernel,
 )
@@ -302,7 +304,8 @@ class TestPackedKernelEquivalence:
     @pytest.mark.parametrize("distance", [3, 5])
     def test_memory_kernel(self, shots, distance):
         for region in self.REGIONS:
-            kernel = MemoryShotKernel(distance, 0.04, region=region)
+            kernel, _, _ = shot_engine(MemorySpec(
+                distance=distance, p=0.04, samples=shots, region=region))
             kernel.prepare()
             ref = kernel.run_batch(shots, np.random.default_rng(7))
             packed = kernel.run_batch_packed(shots,
@@ -318,9 +321,9 @@ class TestPackedKernelEquivalence:
 
     @pytest.mark.parametrize("distance", [3, 5])
     def test_endtoend_kernel(self, distance):
-        kernel = EndToEndShotKernel(distance, 0.01, 0.5, anomaly_size=2,
-                                    onset=30, cycles=70, c_win=25,
-                                    n_th=3, alpha=0.01)
+        kernel, _, _ = shot_engine(EndToEndSpec(
+            distance=distance, p=0.01, shots=37, p_ano=0.5, anomaly_size=2,
+            onset=30, cycles=70, c_win=25, n_th=3, alpha=0.01))
         kernel.prepare()
         ref = kernel.run_batch(37, np.random.default_rng(3))
         packed = kernel.run_batch_packed(37, np.random.default_rng(3))
@@ -328,7 +331,9 @@ class TestPackedKernelEquivalence:
 
     @pytest.mark.parametrize("distance", [3, 5])
     def test_detection_kernel(self, distance):
-        kernel = DetectionShotKernel(distance, 2e-3, 0.05, anomaly_size=2,
+        strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
+        kernel = DetectionShotKernel(distance, 2e-3,
+                                     Scenario(events=(strike,)),
                                      c_win=40, n_th=3, alpha=0.01,
                                      normal_cycles=80, post_cycles=160)
         kernel.prepare()

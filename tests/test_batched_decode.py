@@ -24,7 +24,10 @@ from repro.decoding import (
     greedy_cut_parity,
     greedy_decode_fast,
 )
+from repro.campaigns import MemorySpec
+from repro.campaigns.runner import shot_engine
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim import backend, bitops
 from repro.sim.batch import (
     BatchShotRunner,
@@ -261,9 +264,9 @@ class TestKernelDecodeModes:
             for informed in (False, True):
                 outs = {}
                 for mode in ("pershot", "batched"):
-                    kernel = MemoryShotKernel(5, 0.04, region=region,
-                                              informed=informed,
-                                              decode=mode)
+                    kernel, _, _ = shot_engine(MemorySpec(
+                        distance=5, p=0.04, samples=shots, region=region,
+                        informed=informed, decode=mode))
                     kernel.prepare()
                     outs[mode] = kernel.run_batch_packed(
                         shots, np.random.default_rng(7))
@@ -271,9 +274,9 @@ class TestKernelDecodeModes:
                     (shots, region, informed)
 
     def test_memory_kernel_float_path_matches(self):
-        kernel = MemoryShotKernel(5, 0.04,
-                                  region=AnomalousRegion.centered(5, 2),
-                                  informed=True)
+        kernel, _, _ = shot_engine(MemorySpec(
+            distance=5, p=0.04, samples=70, region="centered",
+            anomaly_size=2, informed=True))
         kernel.prepare()
         a = kernel.run_batch(70, np.random.default_rng(3))
         b = kernel.run_batch_packed(70, np.random.default_rng(3))
@@ -283,16 +286,17 @@ class TestKernelDecodeModes:
         with pytest.raises(ValueError):
             MemoryShotKernel(5, 0.04, decode="magic")
         with pytest.raises(ValueError):
-            EndToEndShotKernel(5, 0.01, 0.5, anomaly_size=2, onset=10,
-                               cycles=30, c_win=10, n_th=3, alpha=0.01,
-                               decode="magic")
+            EndToEndShotKernel(
+                5, 0.01, Scenario(events=(StrikeEvent(onset=10, size=2),)),
+                cycles=30, c_win=10, n_th=3, alpha=0.01, decode="magic")
 
     @pytest.mark.parametrize("distance", [3, 5])
     def test_endtoend_kernel_modes(self, distance):
         outs = {}
         for mode in ("pershot", "batched"):
-            kernel = EndToEndShotKernel(distance, 0.01, 0.5,
-                                        anomaly_size=2, onset=30,
+            strike = StrikeEvent(onset=30, size=2, p_ano=0.5)
+            kernel = EndToEndShotKernel(distance, 0.01,
+                                        Scenario(events=(strike,)),
                                         cycles=70, c_win=25, n_th=3,
                                         alpha=0.01, decode=mode)
             kernel.prepare()
@@ -303,9 +307,9 @@ class TestKernelDecodeModes:
     def test_runner_campaign_bit_equal_across_modes(self):
         fails = {}
         for mode in ("pershot", "batched"):
-            kernel = MemoryShotKernel(
-                7, 2.5e-2, region=AnomalousRegion.centered(7, 3),
-                informed=True, decode=mode)
+            kernel, _, _ = shot_engine(MemorySpec(
+                distance=7, p=2.5e-2, samples=200, region="centered",
+                anomaly_size=3, informed=True, decode=mode))
             res = BatchShotRunner(kernel, batch_size=48, seed=19,
                                   packing="bits").run(200)
             fails[mode] = res.outcomes

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from repro import campaigns
 from repro.noise import AnomalousRegion
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import (BatchShotRunner, DetectionShotKernel,
                              EndToEndShotKernel, MemoryShotKernel,
                              chunk_plan, default_chunk_shots)
@@ -44,6 +45,10 @@ class TestSpecValidation:
         dict(distance=5, p=1e-2, samples=10, batch_size=0),
         dict(distance=5, p=1e-2, samples=10, region="somewhere"),
         dict(distance=5, p=1e-2, samples=10, target_rel_width=0.0),
+        # An empty window is no strike, yet informed decoding would
+        # still weight the box.
+        dict(distance=5, p=1e-2, samples=10, informed=True,
+             region=AnomalousRegion(1, 1, 2, t_lo=3, t_hi=3)),
     ])
     def test_memory_spec_rejects(self, kwargs):
         with pytest.raises(campaigns.SpecError):
@@ -349,7 +354,9 @@ class TestLegacyShims:
         region = AnomalousRegion.centered(5, 2)
         exp = MemoryExperiment(5, 2e-2, region=region)
         est = exp.run(300, workers=1, seed=11, batch_size=64)
-        kernel = MemoryShotKernel(5, 2e-2, region=region)
+        strike = StrikeEvent(onset=0, size=2, row=region.row_lo,
+                             col=region.col_lo, p_ano=0.5)
+        kernel = MemoryShotKernel(5, 2e-2, Scenario(events=(strike,)))
         rr = BatchShotRunner(kernel, workers=1, batch_size=64,
                              seed=11).run(300)
         assert (est.failures, est.samples) == \
@@ -370,7 +377,9 @@ class TestLegacyShims:
         e2e = EndToEndExperiment(5, 0.01, onset=30, cycles=60, c_win=20,
                                  n_th=4)
         res = e2e.run(40, seed=5)
-        kernel = EndToEndShotKernel(5, 0.01, 0.5, 4, 30, 60, 20, 4, 0.01)
+        strike = StrikeEvent(onset=30, size=4, p_ano=0.5)
+        kernel = EndToEndShotKernel(5, 0.01, Scenario(events=(strike,)),
+                                    60, 20, 4, 0.01)
         batch = default_chunk_shots(40, 60 * 4 * 5)
         out = BatchShotRunner(kernel, workers=0, batch_size=batch,
                               seed=5).run(40).outcomes
@@ -382,8 +391,9 @@ class TestLegacyShims:
     def test_detection_run_matches_direct_runner(self):
         perf = run_detection_trials(7, 2e-3, 0.05, anomaly_size=2,
                                     c_win=40, n_th=3, trials=6, seed=9)
-        kernel = DetectionShotKernel(7, 2e-3, 0.05, 2, 40, 3, 0.01,
-                                     80, 160)
+        strike = StrikeEvent(onset=80, size=2, p_ano=0.05)
+        kernel = DetectionShotKernel(7, 2e-3, Scenario(events=(strike,)),
+                                     40, 3, 0.01, 80, 160)
         batch = default_chunk_shots(6, 240 * 6 * 7)
         out = BatchShotRunner(kernel, workers=0, batch_size=batch,
                               seed=9).run(6).outcomes

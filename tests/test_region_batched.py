@@ -17,6 +17,7 @@ from repro.decoding.batched import (ScratchArena, _float_bucket_parities,
 from repro.decoding.greedy import greedy_cut_parity
 from repro.decoding.weights import DistanceModel, region_signature
 from repro.noise.models import AnomalousRegion
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import DetectionShotKernel, EndToEndShotKernel
 
 from reference_engines import (reference_detection_trials,
@@ -182,10 +183,11 @@ class TestEndToEndKernelDecodeModes:
     def test_modes_bit_equal(self, d, p_ano, anomaly_size, onset):
         outs = {}
         for mode in ("pershot", "batched"):
+            strike = StrikeEvent(onset=onset, size=anomaly_size,
+                                 p_ano=p_ano)
             kernel = EndToEndShotKernel(
-                d, 0.01, p_ano, anomaly_size=anomaly_size, onset=onset,
-                cycles=onset + 40, c_win=20, n_th=3, alpha=0.01,
-                decode=mode)
+                d, 0.01, Scenario(events=(strike,)), cycles=onset + 40,
+                c_win=20, n_th=3, alpha=0.01, decode=mode)
             kernel.prepare()
             ref = kernel.run_batch(41, np.random.default_rng(7))
             packed = kernel.run_batch_packed(41, np.random.default_rng(7))
@@ -198,8 +200,9 @@ class TestEndToEndKernelDecodeModes:
         detected column must equal the naive column bit for bit."""
         outs = {}
         for mode in ("pershot", "batched"):
+            strike = StrikeEvent(onset=30, size=1, p_ano=0.5)
             kernel = EndToEndShotKernel(
-                5, 0.005, 0.5, anomaly_size=1, onset=30, cycles=60,
+                5, 0.005, Scenario(events=(strike,)), cycles=60,
                 c_win=20, n_th=10 ** 6, alpha=0.01, decode=mode)
             kernel.prepare()
             outs[mode] = kernel.run_batch(23, np.random.default_rng(11))
@@ -215,8 +218,9 @@ class TestDetectionKernelScanModes:
     def test_modes_bit_equal(self, d, p_ano):
         outs = {}
         for mode in ("pershot", "batched"):
+            strike = StrikeEvent(onset=80, size=2, p_ano=p_ano)
             kernel = DetectionShotKernel(
-                d, 2e-3, p_ano, anomaly_size=2, c_win=40, n_th=3,
+                d, 2e-3, Scenario(events=(strike,)), c_win=40, n_th=3,
                 alpha=0.01, normal_cycles=80, post_cycles=160, scan=mode)
             kernel.prepare()
             ref = kernel.run_batch(19, np.random.default_rng(5))
@@ -232,8 +236,9 @@ class TestDetectionKernelScanModes:
         follow the discarded flags) the same way."""
         outs = {}
         for mode in ("pershot", "batched"):
+            strike = StrikeEvent(onset=40, size=2, p_ano=0.5)
             kernel = DetectionShotKernel(
-                5, 2e-2, 0.5, anomaly_size=2, c_win=10, n_th=1,
+                5, 2e-2, Scenario(events=(strike,)), c_win=10, n_th=1,
                 alpha=0.4, normal_cycles=40, post_cycles=40, scan=mode)
             kernel.prepare()
             outs[mode] = kernel.run_batch(31, np.random.default_rng(3))
@@ -252,8 +257,9 @@ class TestDetectionKernelScanModes:
 
     def test_bad_scan_mode_rejected(self):
         with pytest.raises(ValueError):
-            DetectionShotKernel(5, 1e-3, 0.05, 2, 40, 3, 0.01, 80, 160,
-                                scan="vectorized")
+            DetectionShotKernel(
+                5, 1e-3, Scenario(events=(StrikeEvent(onset=80, size=2),)),
+                40, 3, 0.01, 80, 160, scan="vectorized")
 
 
 class TestRetiredSequentialBranches:

@@ -1,11 +1,14 @@
 """`repro.scenarios`: model, spec, catalog, and the bit-identity contract.
 
-The load-bearing assertion lives in :class:`TestLegacyBitIdentity`: a
-scenario holding one fixed-position (memory) or one re-drawn-per-shot
-(endtoend/detection) event over a uniform base rate must produce
-**bit-identical** counts and estimates to the legacy
-``AnomalousRegion`` campaign it generalizes, per ``(seed, batch_size)``,
-packed and unpacked, on all three engines (docs/CONTRACTS.md).
+:class:`TestLegacyBitIdentity` checks that a scenario holding one
+fixed-position (memory) or one re-drawn-per-shot (endtoend/detection)
+event over a uniform base rate produces **bit-identical** counts and
+estimates to the ``AnomalousRegion`` campaign it generalizes, per
+``(seed, batch_size)``, packed and unpacked, on all three engines, and
+that the region specs lower to exactly that scenario.  Both sides now
+share one spec-to-kernel path, so the non-tautological pin of the
+numerics is the region-spec golden table in ``tests/test_stages.py``
+(docs/CONTRACTS.md).
 """
 
 import dataclasses
@@ -116,18 +119,6 @@ class TestScenario:
         with pytest.raises(ScenarioError, match="positive"):
             Scenario(drift=(1.0, -0.5))
         assert Scenario(drift=[1, 2]).drift == (1.0, 2.0)
-
-    def test_legacy_equivalent_is_exactly_the_degenerate_case(self):
-        fixed = StrikeEvent(onset=0, size=2, row=1, col=1, p_ano=0.4)
-        assert Scenario(events=(fixed,)).legacy_equivalent() \
-            == (AnomalousRegion(1, 1, 2, t_lo=0, t_hi=None), 0.4)
-        # Anything richer has no legacy counterpart.
-        roaming = StrikeEvent(onset=0, size=2)
-        assert Scenario(events=(roaming,)).legacy_equivalent() is None
-        assert Scenario(events=(fixed, fixed)).legacy_equivalent() is None
-        assert Scenario(events=(fixed,),
-                        drift=(1.0, 2.0)).legacy_equivalent() is None
-        assert Scenario().legacy_equivalent() is None
 
     def test_json_round_trip(self):
         scenario = Scenario(
@@ -393,13 +384,53 @@ class TestLegacyBitIdentity:
         assert got.estimates == want.estimates
 
     def test_memory_collapse_is_structural(self):
-        """The memory engine folds the degenerate scenario to the
-        legacy kernel arguments — identity by construction."""
+        """A region spec and its single-event scenario spec build the
+        same kernel — identity by construction."""
         from repro.campaigns.runner import shot_engine
-        _, _, scenario = _pairs()[0]
-        kernel, shots, _ = shot_engine(scenario)
-        assert kernel.scenario is None
-        assert kernel.region == AnomalousRegion(1, 1, 2, t_lo=0,
-                                                t_hi=None)
-        assert kernel.p_ano == 0.4
+        _, legacy, scenario = _pairs()[0]
+        legacy_kernel, legacy_shots, legacy_elements = shot_engine(legacy)
+        kernel, shots, elements = shot_engine(scenario)
+        assert legacy_kernel.scenario == kernel.scenario == scenario.scenario
+        (event,) = kernel.scenario.events
+        assert event.region() == AnomalousRegion(1, 1, 2, t_lo=0, t_hi=None)
+        assert event.p_ano == 0.4
+        assert (legacy_shots, legacy_elements) == (shots, elements)
         assert shots == 64
+
+    def test_lower_spec_is_the_one_event_scenario(self):
+        """Each region-spec kind lowers to the paper's single MBBE."""
+        from repro.campaigns.runner import lower_spec
+        region = AnomalousRegion(1, 2, 2, t_lo=3, t_hi=7)
+        memory = lower_spec(MemorySpec(
+            distance=5, p=0.02, samples=8, region=region, p_ano=0.4,
+            informed=True, cycles=9, decoder="mwpm", decode="pershot"))
+        assert (memory.mode, memory.shots, memory.informed, memory.cycles,
+                memory.decoder, memory.decode) == \
+            ("memory", 8, True, 9, "mwpm", "pershot")
+        assert memory.scenario == Scenario(events=(StrikeEvent(
+            onset=3, size=2, duration=4, row=1, col=2, p_ano=0.4),))
+        assert memory.scenario.events[0].region() == region
+        centered = lower_spec(MemorySpec(distance=7, p=0.02, samples=8,
+                                         region="centered", anomaly_size=3))
+        assert centered.scenario.events[0].region() == \
+            AnomalousRegion.centered(7, 3)
+        assert lower_spec(MemorySpec(distance=5, p=0.02, samples=8)) \
+            .scenario == Scenario()
+
+        endtoend = lower_spec(EndToEndSpec(
+            distance=5, p=0.01, shots=4, p_ano=0.3, anomaly_size=3,
+            onset=25, cycles=60, c_win=20, n_th=3, alpha=0.02))
+        assert (endtoend.mode, endtoend.shots, endtoend.total_cycles(),
+                endtoend.c_win, endtoend.n_th, endtoend.alpha) == \
+            ("endtoend", 4, 60, 20, 3, 0.02)
+        assert endtoend.scenario == Scenario(events=(StrikeEvent(
+            onset=25, size=3, p_ano=0.3),))
+
+        detection = lower_spec(DetectionSpec(
+            distance=5, p=2e-3, p_ano=0.3, anomaly_size=3, c_win=20,
+            trials=6, scan="pershot"))
+        assert (detection.mode, detection.shots, detection.decode,
+                detection.resolved_cycles()) == \
+            ("detection", 6, "pershot", (40, 80))
+        assert detection.scenario == Scenario(events=(StrikeEvent(
+            onset=40, size=3, p_ano=0.3),))

@@ -6,6 +6,7 @@ document)``.  One class exercises the real ``ThreadingHTTPServer`` end
 to end over localhost.
 """
 
+import http.client
 import json
 import threading
 import time
@@ -15,7 +16,7 @@ import urllib.request
 from repro import campaigns
 from repro.campaigns.checkpoint import CheckpointStore
 from repro.service import ServiceApp, make_server, read_partial
-from repro.service.http import TENANT_HEADER
+from repro.service.http import MAX_BODY_BYTES, TENANT_HEADER
 
 
 def _spec(**overrides):
@@ -382,6 +383,30 @@ class TestHTTP:
                                       f"/campaigns/{h}/partial")
             assert code == 200 and doc["shots_done"] == 32
         finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+
+    def test_oversized_body_is_413_before_reading(self, tmp_path):
+        """A declared Content-Length over the cap is refused without the
+        server waiting for (or buffering) the body."""
+        app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
+        server = make_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10)
+        try:
+            conn.putrequest("POST", "/campaigns")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+            conn.endheaders()  # no body follows: the server must not wait
+            resp = conn.getresponse()
+            assert resp.status == 413
+            assert "exceeds" in json.load(resp)["error"]
+            assert app.health()[1]["jobs_run"] == 0
+        finally:
+            conn.close()
             server.shutdown()
             server.server_close()
             app.close()

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from repro import campaigns
+from repro.campaigns.runner import shot_engine
 from repro.noise.models import AnomalousRegion
+from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel)
 from repro.sim.stages import (ShotPipeline, Stage, StageContext, StageState,
@@ -27,21 +29,28 @@ def digest(a: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
 
 
+def strike(**event) -> Scenario:
+    """The paper's single MBBE as a one-event scenario."""
+    return Scenario(events=(StrikeEvent(**event),))
+
+
 def memory_kernel() -> MemoryShotKernel:
+    # AnomalousRegion.centered(5, 2): the 2 x 2 box at node (1, 1).
     return MemoryShotKernel(5, 0.02,
-                            region=AnomalousRegion.centered(5, 2),
-                            p_ano=0.5)
+                            strike(onset=0, size=2, row=1, col=1, p_ano=0.5))
 
 
 def endtoend_kernel(**overrides) -> EndToEndShotKernel:
-    params = dict(distance=5, p=0.01, p_ano=0.5, anomaly_size=2,
-                  onset=30, cycles=70, c_win=20, n_th=3, alpha=0.01)
+    params = dict(distance=5, p=0.01,
+                  scenario=strike(onset=30, size=2, p_ano=0.5),
+                  cycles=70, c_win=20, n_th=3, alpha=0.01)
     params.update(overrides)
     return EndToEndShotKernel(**params)
 
 
 def detection_kernel(**overrides) -> DetectionShotKernel:
-    params = dict(distance=5, p=2e-3, p_ano=0.5, anomaly_size=2,
+    params = dict(distance=5, p=2e-3,
+                  scenario=strike(onset=60, size=2, p_ano=0.5),
                   c_win=30, n_th=3, alpha=0.01, normal_cycles=60,
                   post_cycles=120)
     params.update(overrides)
@@ -77,6 +86,67 @@ class TestGoldenKernels:
                else kernel.run_batch_packed)
         out = run(21, np.random.default_rng(11))
         assert digest(out) == "c85adf7c9bab065f"
+
+
+def _memory_spec(**overrides) -> campaigns.MemorySpec:
+    params = dict(distance=5, p=0.03, samples=1, anomaly_size=2, p_ano=0.4,
+                  cycles=6)
+    params.update(overrides)
+    return campaigns.MemorySpec(**params)
+
+
+#: Region-spec forms through ``shot_engine``: digests of the kernel's
+#: outcomes captured before region specs were lowered to scenarios
+#: (commit 8140c16).  ``memory-pano-eq-p`` equals ``memory-none``
+#: because an overlay at the base rate draws nothing.
+REGION_GOLDENS = [
+    ("memory-none", _memory_spec(), "41c601166cba6508"),
+    ("memory-centered", _memory_spec(region="centered"),
+     "735551def560327c"),
+    ("memory-corner", _memory_spec(region=AnomalousRegion(0, 0, 2)),
+     "5ea2f63321ee4bf2"),
+    ("memory-overhang", _memory_spec(region=AnomalousRegion(3, 3, 3)),
+     "174b9b6f487bda45"),
+    ("memory-closed-window",
+     _memory_spec(region=AnomalousRegion(1, 1, 2, t_lo=1, t_hi=4)),
+     "a9d120ab33005ecb"),
+    ("memory-pano-eq-p", _memory_spec(region="centered", p_ano=0.03),
+     "41c601166cba6508"),
+    ("memory-informed-greedy",
+     _memory_spec(region=AnomalousRegion(1, 2, 2, t_lo=2), informed=True),
+     "7cd2f4a07023e2fb"),
+    ("memory-informed-mwpm",
+     _memory_spec(region=AnomalousRegion(1, 2, 2, t_lo=2), informed=True,
+                  decoder="mwpm"),
+     "bbcafb358f25e100"),
+    ("endtoend-offdefault",
+     campaigns.EndToEndSpec(distance=5, p=0.01, shots=1, p_ano=0.3,
+                            anomaly_size=3, onset=25, cycles=60, c_win=20,
+                            n_th=3),
+     "46f2be12909db481"),
+    ("detection-offdefault",
+     campaigns.DetectionSpec(distance=5, p=2e-3, p_ano=0.3, anomaly_size=3,
+                             c_win=20, n_th=3, normal_cycles=50,
+                             post_cycles=70),
+     "ae797121f4f37839"),
+]
+
+REGION_GOLDEN_SHOTS = {"memory": 70, "endtoend": 24, "detection": 18}
+
+
+class TestGoldenRegionSpecs:
+    """Region specs through ``shot_engine``, packed and unpacked."""
+
+    @pytest.mark.parametrize("packing", ["none", "bits"])
+    @pytest.mark.parametrize("name, spec, want", REGION_GOLDENS,
+                             ids=[case[0] for case in REGION_GOLDENS])
+    def test_region_spec_golden(self, name, spec, want, packing):
+        kernel, _, _ = shot_engine(spec)
+        run = (kernel.run_batch if packing == "none"
+               else kernel.run_batch_packed)
+        out = run(REGION_GOLDEN_SHOTS[spec.kind],
+                  np.random.default_rng(2024))
+        assert digest(out) == want
 
 
 class TestGoldenCampaigns:
@@ -204,7 +274,9 @@ class TestEndToEndStagesStepwise:
         assert len(state.nodes_list) == shots
         assert len(state.detections) == shots
         assert state.parities.shape == (shots,)
-        assert all(isinstance(r, AnomalousRegion) for r in state.regions)
+        assert all(len(regions) == 1
+                   and isinstance(regions[0], AnomalousRegion)
+                   for regions in state.regions)
 
     def test_chunk_packed_matches_full_run(self):
         shots, seed = 13, 5
