@@ -6,7 +6,10 @@ run a Python acceptance scan, for every shot — became the Monte-Carlo
 bottleneck.  This module decodes a whole chunk of shots at once and is
 certified *bit-identical* to :func:`repro.decoding.greedy
 .greedy_cut_parity` / :func:`greedy_decode_fast` on every input it
-accepts (anything else falls back to those functions, shot by shot):
+accepts.  Anything else — a weighted box, several boxes, coordinates
+outside the integer envelope — decodes shot by shot through those
+functions' sparse, locality-bounded float core, which needs no
+batching: it builds O(n * window) candidates, not O(n^2) tensors.
 
 * **Bucketed distance builds** — shots are grouped by active-node count
   ``n`` and stacked into ``(S, n, 3)`` tensors; pairwise and boundary
@@ -60,10 +63,6 @@ from repro.decoding.greedy import (_greedy_fast_core, _upper_mask,
 from repro.decoding.weights import (NORTH, SOUTH, DistanceModel,
                                     MultiRegionDistanceModel,
                                     region_signature)
-
-#: Per-bucket element budget of the float fallback tier's ``(S, n, n)``
-#: tensors (``pairwise_batch`` materializes a 3-component diff on top).
-_FLOAT_BUCKET_BUDGET = 1 << 18
 
 #: Coordinate bound of the integer fast path (shared with
 #: :meth:`DistanceModel.pairwise_int`).
@@ -146,15 +145,13 @@ def _chunk_eligible(model: DistanceModel, allc: np.ndarray) -> bool:
     Mirrors (and slightly extends) the :meth:`pairwise_int` envelope:
     :func:`_coords_eligible` coordinates plus a region (only with zero
     weight) whose row origin sits on the lattice.  Anything outside
-    decodes through the per-shot reference core (or, for weighted
-    regions, the float bucketed tier) instead.
+    decodes through the per-shot sparse core instead.
 
     Multi-region models (``model.regions``, e.g.
     :class:`~repro.decoding.weights.MultiRegionDistanceModel`) always
     decline: their ``region`` is ``None`` by design, and routing them
     into the uniform integer engine would silently drop every box.
-    They take the certified per-shot float core (the envelope extension
-    is follow-on work).
+    They take the certified per-shot sparse core.
     """
     if getattr(model, "regions", None):
         return False
@@ -685,9 +682,9 @@ def batched_cut_parities(model: DistanceModel, nodes_list: list,
     """North-cut parities of the greedy matching for a chunk of shots.
 
     Equals ``[greedy_cut_parity(model, nodes) for nodes in nodes_list]``
-    bit for bit; shots outside the integer engine's envelope (float
-    weights, negative/huge coordinates) run through the per-shot
-    reference core.  ``cache`` is an optional
+    bit for bit; shots outside the integer engine's envelope (weighted
+    or multiple boxes, negative/huge coordinates) run through the
+    per-shot sparse core.  ``cache`` is an optional
     :class:`repro.sim.batch.MatchingCache`: lookups and stores use the
     same keys and hit accounting as the per-shot path (below the LRU
     capacity; at saturation the bulk stores can evict in a different
@@ -746,11 +743,6 @@ def batched_cut_parities(model: DistanceModel, nodes_list: list,
     if (_chunk_eligible(model, allc)
             and len(sub_nodes) * max(map(len, sub_nodes)) < 2**31):
         parities, _ = _decode_engine(model, sub_nodes, arena, False, allc)
-    elif model.region is not None and model.w_ano != 0.0:
-        # Weighted region: the per-shot core always takes the float
-        # pairwise/boundary path here, so batching those builds through
-        # the (bit-equal) batch primitives changes nothing but speed.
-        parities = _float_bucket_parities(model, sub_nodes)
     else:
         parities = np.fromiter(
             ((_greedy_fast_core(model, nodes, False)[1] & 1)
@@ -762,50 +754,6 @@ def batched_cut_parities(model: DistanceModel, nodes_list: list,
         if key is not None:
             cache.put(key, p)
     return out
-
-
-def _float_bucket_parities(model: DistanceModel,
-                           nodes_list: list) -> np.ndarray:
-    """Per-shot acceptance over bucket-wide float distance tensors.
-
-    For a weighted region (``w_ano != 0``) the integer engine declines
-    and the per-shot core computes float :meth:`DistanceModel.pairwise`
-    / :meth:`boundary` matrices shot by shot.  Here same-size shots are
-    stacked and the whole bucket's distances come out of
-    :meth:`DistanceModel.pairwise_batch` / :meth:`boundary_batch` —
-    bit-equal, row for row, to the per-shot methods — while the
-    acceptance scan stays the certified per-shot loop, fed the
-    precomputed slices.  Outcomes are therefore bit-identical to
-    ``[greedy_cut_parity(model, nodes) for nodes in nodes_list]``.
-    """
-    S_all = len(nodes_list)
-    parities = np.zeros(S_all, dtype=np.int8)
-    ns = np.fromiter((len(x) for x in nodes_list), dtype=np.int64,
-                     count=S_all)
-    order = np.argsort(ns, kind="stable")
-    k = 0
-    while k < S_all:
-        n = int(ns[order[k]])
-        k2 = k
-        while k2 < S_all and ns[order[k2]] == n:
-            k2 += 1
-        if n == 0:
-            k = k2
-            continue
-        smax = max(1, _FLOAT_BUCKET_BUDGET // (n * n))
-        for blo in range(k, k2, smax):
-            ids = order[blo:min(k2, blo + smax)]
-            stacked = np.stack([np.asarray(nodes_list[s], dtype=float)
-                                for s in ids])
-            dist = model.pairwise_batch(stacked)
-            bdist, bside = model.boundary_batch(stacked)
-            for q, s in enumerate(ids.tolist()):
-                _, north, _ = _greedy_fast_core(
-                    model, np.asarray(nodes_list[s]), False,
-                    dist=dist[q], bdist=bdist[q], bside=bside[q])
-                parities[s] = north & 1
-        k = k2
-    return parities
 
 
 def batched_region_cut_parities(distance: int, regions: list,
@@ -827,17 +775,15 @@ def batched_region_cut_parities(distance: int, regions: list,
     through the integer engine, which folds the per-shot region boxes
     into its bucket tensors — no per-region grouping needed.  Outside
     that envelope shots group by :func:`region_signature` and each
-    group decodes through :func:`batched_cut_parities` (integer engine,
-    float bucketed tier, or per-shot core — whatever its model admits).
+    group decodes through :func:`batched_cut_parities` (integer engine
+    or per-shot sparse core — whatever its model admits).
 
     A shot's entry in ``regions`` may also be a *sequence* of regions
     (a multi-event scenario shot).  An empty sequence is the uniform
     model and a length-1 sequence is exactly its single region (both
     bit-identical to the legacy entry forms); two or more regions
-    decode through the certified per-shot core under a
-    :class:`~repro.decoding.weights.MultiRegionDistanceModel` — the
-    fallback-first tier the scenario subsystem contracts (extending the
-    integer envelope to multi-box shots is follow-on work).
+    decode through the certified per-shot sparse core under a
+    :class:`~repro.decoding.weights.MultiRegionDistanceModel`.
     """
     S = len(nodes_list)
     if len(regions) != S:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.decoding.decoder_base import DecodeResult, Match
-from repro.decoding.weights import NORTH, DistanceModel
+from repro.decoding.weights import NORTH, DistanceModel, manhattan
 
 _UPPER_MASK = np.zeros((0, 0), dtype=bool)
 
@@ -40,29 +40,121 @@ def _upper_mask(n: int) -> np.ndarray:
     return _UPPER_MASK[:n, :n]
 
 
+def _window_ends(t: np.ndarray, bound: float) -> np.ndarray:
+    """Exclusive end of each row's ``t[q] - t[p] <= bound`` window.
+
+    ``t`` is sorted, so the float difference is monotone in ``q`` and
+    each window is ``(p, end[p])``.  ``searchsorted`` compares against
+    the separately rounded ``t[p] + bound``; the loops nudge the rows it
+    misplaces until every end is exact for the difference itself.
+    """
+    n = len(t)
+    rows = np.arange(n)
+    end = np.maximum(np.searchsorted(t, t + bound, side="right"), rows + 1)
+    while True:  # over-shot rows: t[end - 1] lies outside the window
+        idx = np.flatnonzero(end > rows + 1)
+        idx = idx[t[end[idx] - 1] - t[idx] > bound]
+        if not len(idx):
+            break
+        end[idx] -= 1
+    while True:  # under-shot rows: t[end] still lies inside
+        idx = np.flatnonzero(end < n)
+        idx = idx[t[end[idx]] - t[idx] <= bound]
+        if not len(idx):
+            break
+        end[idx] += 1
+    return end
+
+
+def _spans(starts: np.ndarray, stops: np.ndarray):
+    """``(row, k)`` for every ``k`` in ``range(starts[row], stops[row])``."""
+    counts = stops - starts
+    rows = np.repeat(np.arange(len(starts)), counts)
+    offset = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+    return rows, starts[rows] + offset
+
+
+def _sparse_pairs(model: DistanceModel, nodes: np.ndarray,
+                  bdist: np.ndarray):
+    """Kept node-node candidates ``(iu, ju, dist)`` of the float path.
+
+    Equal to ``np.nonzero`` of the dense keep rule ``pairwise(nodes) <=
+    min(bdist_i, bdist_j)`` over ``i < j`` (row-major), with the same
+    distances, without the O(n^2) matrix.  With ``B = max(bdist)`` a
+    kept pair has ``dist <= B``, so either its direct path or its detour
+    via some box ``k`` costs at most ``B``.  Float addition of
+    non-negatives is monotone under IEEE rounding and ``w_ano >= 0``, so
+    ``direct >= |dt|`` and ``via_k >= to_box_k`` of either end: every
+    kept pair lies in (a) the time-sorted window ``|dt| <= B`` or (b)
+    the pairs of nodes within ``B`` of one box, taken here with
+    ``|dt| > B`` so the passes are disjoint.  Over-included pairs fail
+    the exact keep rule, evaluated with :meth:`DistanceModel.pairwise`'s
+    float expressions (the shared :func:`manhattan` sum, then
+    ``min(direct, (to_box_i + to_box_j) + w * inside)`` over boxes), so
+    the kept set — and hence every match, weight and parity — is
+    identical to the dense build.
+    """
+    pts = np.asarray(nodes, dtype=float)
+    n = len(pts)
+    bound = bdist.max()
+    order = np.argsort(pts[:, 0], kind="stable")
+    rows, cols = _spans(np.arange(1, n + 1),
+                        _window_ends(pts[order, 0], bound))
+    a_parts, b_parts = [order[rows]], [order[cols]]
+    vias = []
+    for lo, hi, w in model.boxes(int(pts[:, 0].max(initial=0))):
+        clamped = np.clip(pts, lo, hi)
+        to_box = np.abs(pts - clamped).sum(axis=1)
+        vias.append((np.ascontiguousarray(clamped.T), to_box, w))
+        near = order[to_box[order] <= bound]  # time-sorted
+        rows, cols = _spans(_window_ends(pts[near, 0], bound),
+                            np.full(len(near), len(near)))
+        a_parts.append(near[rows])
+        b_parts.append(near[cols])
+    a = np.concatenate(a_parts)
+    b = np.concatenate(b_parts)
+    # Every term below is symmetric in (a, b) bit for bit, so the pairs
+    # are put in i < j order only once the keep rule has thinned them.
+    cols = np.ascontiguousarray(pts.T)
+    dist = manhattan(cols.take(a, axis=1), cols.take(b, axis=1))
+    for clamped, to_box, w in vias:
+        inside = manhattan(clamped.take(a, axis=1), clamped.take(b, axis=1))
+        dist = np.minimum(dist, to_box[a] + to_box[b] + w * inside)
+    keep = np.flatnonzero(dist <= np.minimum(bdist[a], bdist[b]))
+    a, b = a[keep], b[keep]
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    srt = np.argsort(key, kind="stable")
+    key, keep = key[srt], keep[srt]
+    if len(vias) > 1:  # overlapping boxes can yield a pair twice
+        first = np.diff(key, prepend=-1) != 0
+        key, keep = key[first], keep[first]
+    return key // n, key % n, dist[keep]
+
+
 def _greedy_fast_core(model: DistanceModel, nodes: np.ndarray,
-                      collect_matches: bool, dist=None, bdist=None,
-                      bside=None):
+                      collect_matches: bool):
     """Shared pruned acceptance loop; returns (matches, north, weight).
 
     ``matches`` is ``None`` unless ``collect_matches`` — the batched shot
     engine only needs the north-cut parity, and skipping the ``Match``
     construction and re-scan saves a meaningful slice of each decode.
 
-    ``dist``/``bdist``/``bside`` may be supplied precomputed (the
-    region-bucketed engine slices them out of
-    :meth:`DistanceModel.pairwise_batch` / :meth:`boundary_batch`
-    tensors, which are bit-equal to the per-shot methods); when omitted
-    they are computed here exactly as before.
+    Integer-exact models (uniform, or a ``w_ano = 0`` box) build the
+    ``int16`` :meth:`DistanceModel.pairwise_int` matrix; everything else
+    (a weighted box, several boxes, non-integer coordinates) takes the
+    sparse candidate generator :func:`_sparse_pairs`, which does
+    O(n * window) work instead of the O(n^2) float broadcast.  It is
+    exact, not a heuristic: with ``w_ano >= 0`` no pair outside its
+    locality windows can pass the keep rule, and it emits the kept pairs
+    in the dense build's row-major order with bit-equal distances, so
+    the stable sort and the acceptance loop below see the same
+    candidate list.
     """
     n = len(nodes)
-    if dist is None:
-        dist = model.pairwise_int(nodes)
-        if dist is None:  # rare: non-integer nodes or weighted region
-            dist = model.pairwise(nodes)
-    if bdist is None:
-        bdist, bside = model.boundary(nodes)
-    integral = dist.dtype != np.float64
+    dist = model.pairwise_int(nodes)
+    bdist, bside = model.boundary(nodes)
+    integral = dist is not None
 
     # Zero-distance pairs (nodes inside a w_ano = 0 box, or coordinate
     # duplicates) sort before every other candidate — boundary distances
@@ -91,15 +183,19 @@ def _greedy_fast_core(model: DistanceModel, nodes: np.ndarray,
             zero_pairs.sort()  # legacy acceptance order: ascending in a
 
     free = ~matched
-    thr = bdist.astype(np.int16) if integral else bdist
-    keep = dist <= np.minimum(thr[:, None], thr[None, :])
-    if zero_pairs:
-        keep &= free[:, None] & free[None, :]
-    keep &= _upper_mask(n)
-    iu, ju = np.nonzero(keep)
+    if integral:
+        thr = bdist.astype(np.int16)
+        keep = dist <= np.minimum(thr[:, None], thr[None, :])
+        if zero_pairs:
+            keep &= free[:, None] & free[None, :]
+        keep &= _upper_mask(n)
+        iu, ju = np.nonzero(keep)
+        pair_d = dist[iu, ju]
+    else:
+        iu, ju, pair_d = _sparse_pairs(model, nodes, bdist)
     bfree = np.flatnonzero(free)
 
-    cand_d = np.concatenate([dist[iu, ju].astype(np.float64), bdist[bfree]])
+    cand_d = np.concatenate([pair_d.astype(np.float64), bdist[bfree]])
     cand_a = np.concatenate([iu, bfree])
     cand_b = np.concatenate([ju, bside[bfree]]).astype(np.int64)
     if integral:  # radix-sortable integer keys; same order as float sort

@@ -59,6 +59,29 @@ def relative_anomalous_weight(p: float, p_ano: float) -> float:
     return llr_weight(p_ano) / llr_weight(p)
 
 
+def manhattan(x, y) -> np.ndarray:
+    """``|x - y|`` summed over the ``(t, i, j)`` components.
+
+    ``x``/``y`` index by component first (``(3, ...)`` arrays).  The
+    fixed order ``(|dt| + |di|) + |dj|`` is shared by every float
+    distance build — the dense :meth:`DistanceModel.pairwise` and the
+    sparse greedy candidates — so they round identically on any input.
+    """
+    return (np.abs(x[0] - y[0]) + np.abs(x[1] - y[1])) + np.abs(x[2] - y[2])
+
+
+def _check_weight(w_ano) -> float:
+    """``w_ano`` as a float, rejecting negative or NaN weights.
+
+    A negative weight makes via distances negative (matching becomes
+    ill-posed) and voids the locality bound of the sparse greedy core.
+    """
+    w = float(w_ano)
+    if not w >= 0.0:
+        raise ValueError(f"w_ano must be a non-negative number, got {w_ano!r}")
+    return w
+
+
 class DistanceModel:
     """Node-to-node and node-to-boundary matching distances.
 
@@ -74,7 +97,7 @@ class DistanceModel:
                  w_ano: float = 0.0):
         self.distance = distance
         self.region = region
-        self.w_ano = float(w_ano)
+        self.w_ano = _check_weight(w_ano)
 
     # ------------------------------------------------------------------
     # Vectorized primitives (nodes as (n, 3) arrays of (t, i, j))
@@ -89,18 +112,29 @@ class DistanceModel:
         hi[2] = min(hi[2], self.distance - 1)
         return lo, hi
 
+    def boxes(self, t_max: int) -> list:
+        """The detour boxes as ``(lo, hi, w_ano)`` triples.
+
+        ``lo``/``hi`` are the inclusive float ``(t, i, j)`` corners,
+        clipped to the lattice; ``t_max`` (the node set's last layer)
+        closes an open time window.  Empty for the uniform model.
+        """
+        if self.region is None:
+            return []
+        return [(*self._box_bounds(t_max), self.w_ano)]
+
     def pairwise(self, nodes: np.ndarray) -> np.ndarray:
         """All-pairs matching distances for an ``(n, 3)`` node array."""
         nodes = np.asarray(nodes, dtype=float)
-        direct = np.abs(nodes[:, None, :] - nodes[None, :, :]).sum(axis=2)
-        if self.region is None:
-            return direct
-        lo, hi = self._box_bounds(int(nodes[:, 0].max(initial=0)))
-        clamped = np.clip(nodes, lo, hi)
-        to_box = np.abs(nodes - clamped).sum(axis=1)
-        inside = np.abs(clamped[:, None, :] - clamped[None, :, :]).sum(axis=2)
-        via = to_box[:, None] + to_box[None, :] + self.w_ano * inside
-        return np.minimum(direct, via)
+        cols = nodes.T
+        out = manhattan(cols[:, :, None], cols[:, None, :])
+        for lo, hi, w in self.boxes(int(nodes[:, 0].max(initial=0))):
+            clamped = np.clip(nodes, lo, hi)
+            to_box = np.abs(nodes - clamped).sum(axis=1)
+            inside = manhattan(clamped.T[:, :, None], clamped.T[:, None, :])
+            via = to_box[:, None] + to_box[None, :] + w * inside
+            out = np.minimum(out, via)
+        return out
 
     def pairwise_int(self, nodes: np.ndarray) -> Optional[np.ndarray]:
         """All-pairs distances as an ``int16`` matrix, when exact.
@@ -157,93 +191,22 @@ class DistanceModel:
             return self.pairwise(nodes)
         return dist.astype(np.float64)
 
-    # ------------------------------------------------------------------
-    # Batched primitives (stacked shots as (S, n, 3) tensors)
-    # ------------------------------------------------------------------
-    def _box_bounds_batch(self, t_max: np.ndarray):
-        """Per-shot box bounds for an ``(S,)`` vector of shot t-maxima.
-
-        Matches :meth:`_box_bounds` shot for shot: with an open time
-        window the box top is each shot's own ``t_max``.
-        Returns ``(lo, hi)`` with ``lo`` shape ``(3,)`` and ``hi``
-        shape ``(S, 1, 3)`` (broadcastable over an ``(S, n, 3)`` stack).
-        """
-        reg = self.region
-        lo = np.array([reg.t_lo, reg.row_lo, reg.col_lo], dtype=float)
-        hi = np.empty((len(t_max), 1, 3), dtype=float)
-        hi[:, 0, 0] = (reg.t_hi - 1 if reg.t_hi is not None
-                       else t_max.astype(float))
-        hi[:, 0, 1] = min(reg.row_hi - 1, self.distance - 2)
-        hi[:, 0, 2] = min(reg.col_hi - 1, self.distance - 1)
-        return lo, hi
-
-    def pairwise_batch(self, nodes: np.ndarray) -> np.ndarray:
-        """:meth:`pairwise` over a stacked ``(S, n, 3)`` batch of shots.
-
-        Returns the ``(S, n, n)`` distance tensor; row ``s`` equals
-        ``pairwise(nodes[s])`` exactly (the per-shot open-window box top
-        is each shot's own ``t_max``, reproduced here with a
-        per-shot clip bound).  This is the general float batch
-        primitive (any ``w_ano``); the decode engine's hot path is the
-        arena-fused integer specialization of the same math in
-        :mod:`repro.decoding.batched`, and both are certified against
-        the per-shot methods by the equivalence suite.
-        """
-        nodes = np.asarray(nodes, dtype=float)
-        direct = np.abs(nodes[:, :, None, :]
-                        - nodes[:, None, :, :]).sum(axis=3)
-        if self.region is None:
-            return direct
-        lo, hi = self._box_bounds_batch(
-            nodes[:, :, 0].max(axis=1, initial=0))
-        clamped = np.clip(nodes, lo, hi)
-        to_box = np.abs(nodes - clamped).sum(axis=2)
-        inside = np.abs(clamped[:, :, None, :]
-                        - clamped[:, None, :, :]).sum(axis=3)
-        via = (to_box[:, :, None] + to_box[:, None, :]
-               + self.w_ano * inside)
-        return np.minimum(direct, via)
-
-    def boundary_batch(self, nodes: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`boundary` over a stacked ``(S, n, 3)`` batch.
-
-        Returns ``(dist, side)`` of shape ``(S, n)`` each, equal shot
-        for shot to the per-shot method.
-        """
-        nodes = np.asarray(nodes, dtype=float)
-        north = nodes[:, :, 1] + 1.0
-        south = (self.distance - 1) - nodes[:, :, 1]
-        if self.region is not None:
-            lo, hi = self._box_bounds_batch(
-                nodes[:, :, 0].max(axis=1, initial=0))
-            clamped = np.clip(nodes, lo, hi)
-            to_box = np.abs(nodes - clamped).sum(axis=2)
-            north_via = (to_box + self.w_ano * (clamped[:, :, 1] - lo[1])
-                         + (lo[1] + 1.0))
-            south_via = (to_box
-                         + self.w_ano * (hi[:, :, 1] - clamped[:, :, 1])
-                         + (self.distance - 1 - hi[:, :, 1]))
-            north = np.minimum(north, north_via)
-            south = np.minimum(south, south_via)
-        side = np.where(north <= south, NORTH, SOUTH)
-        return np.minimum(north, south), side
-
     def boundary(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Distance to the nearest boundary and which one.
 
-        Returns ``(dist, side)`` with ``side`` in ``{NORTH, SOUTH}``.
+        Returns ``(dist, side)`` with ``side`` in ``{NORTH, SOUTH}``;
+        per boundary, the minimum over the direct approach and the
+        detour via each box.
         """
         nodes = np.asarray(nodes, dtype=float)
         north = nodes[:, 1] + 1.0
         south = (self.distance - 1) - nodes[:, 1]
-        if self.region is not None:
-            lo, hi = self._box_bounds(int(nodes[:, 0].max(initial=0)))
+        for lo, hi, w in self.boxes(int(nodes[:, 0].max(initial=0))):
             clamped = np.clip(nodes, lo, hi)
             to_box = np.abs(nodes - clamped).sum(axis=1)
-            north_via = (to_box + self.w_ano * (clamped[:, 1] - lo[1])
+            north_via = (to_box + w * (clamped[:, 1] - lo[1])
                          + (lo[1] + 1.0))
-            south_via = (to_box + self.w_ano * (hi[1] - clamped[:, 1])
+            south_via = (to_box + w * (hi[1] - clamped[:, 1])
                          + (self.distance - 1 - hi[1]))
             north = np.minimum(north, north_via)
             south = np.minimum(south, south_via)
@@ -264,7 +227,7 @@ class DistanceModel:
         return float(dist[0]), int(side[0])
 
 
-class MultiRegionDistanceModel:
+class MultiRegionDistanceModel(DistanceModel):
     """Matching distances with several (possibly overlapping) regions.
 
     The candidate-path family generalizes :class:`DistanceModel`:
@@ -274,16 +237,15 @@ class MultiRegionDistanceModel:
     greedy construction; for disjoint strike windows (the catalog's
     back-to-back case) the single-box set is exhaustive.
 
-    Composes with both decoder families as-is: greedy
-    (:func:`repro.decoding.greedy.greedy_cut_parity`) and
-    :class:`repro.decoding.mwpm.MWPMDecoder` consume only
-    ``pairwise`` / ``boundary``.  ``region`` is ``None`` and
-    ``pairwise_int`` declines on purpose: the single-box zero-clique
-    prematch is invalid under overlapping boxes (zero distance is not
-    transitive across disjoint boxes), so the generic float acceptance
-    path — which is exact — must be taken.  The batched engine's
-    eligibility guards key on the ``regions`` attribute
-    (:mod:`repro.decoding.batched`).
+    Only :meth:`boxes` differs from the single-box model, so
+    ``pairwise`` / ``boundary`` and both decoder families (greedy and
+    :class:`repro.decoding.mwpm.MWPMDecoder`) compose as-is.
+    ``region`` is ``None`` and ``pairwise_int`` declines on purpose:
+    the single-box zero-clique prematch is invalid under overlapping
+    boxes (zero distance is not transitive across disjoint boxes), so
+    the generic sparse float path — which is exact — must be taken.
+    The batched engine's eligibility guards key on the ``regions``
+    attribute (:mod:`repro.decoding.batched`).
 
     Args:
         distance: code distance ``d``.
@@ -299,74 +261,25 @@ class MultiRegionDistanceModel:
             raise ValueError("need at least one region (else use "
                              "DistanceModel)")
         if np.ndim(w_ano) == 0:
-            w_anos = (float(w_ano),) * len(self.regions)
+            w_anos = (_check_weight(w_ano),) * len(self.regions)
         else:
-            w_anos = tuple(float(w) for w in w_ano)
+            w_anos = tuple(_check_weight(w) for w in w_ano)
         if len(w_anos) != len(self.regions):
             raise ValueError("need one w_ano per region (or a scalar)")
         self.w_anos = w_anos
-        #: Single-box specializations (zero cliques, float bucket tier)
-        #: must not engage — see the class docstring.
+        #: The integer engine's single-box zero-clique prematch must not
+        #: engage — see the class docstring.
         self.region = None
         self.w_ano = max(w_anos)
         self._models = tuple(
             DistanceModel(distance, reg, w)
             for reg, w in zip(self.regions, w_anos, strict=True))
 
-    def pairwise(self, nodes: np.ndarray) -> np.ndarray:
-        """All-pairs matching distances for an ``(n, 3)`` node array."""
-        nodes = np.asarray(nodes, dtype=float)
-        out = np.abs(nodes[:, None, :] - nodes[None, :, :]).sum(axis=2)
-        t_max = int(nodes[:, 0].max(initial=0))
-        for sub in self._models:
-            lo, hi = sub._box_bounds(t_max)
-            clamped = np.clip(nodes, lo, hi)
-            to_box = np.abs(nodes - clamped).sum(axis=1)
-            inside = np.abs(clamped[:, None, :]
-                            - clamped[None, :, :]).sum(axis=2)
-            via = to_box[:, None] + to_box[None, :] + sub.w_ano * inside
-            out = np.minimum(out, via)
-        return out
+    def boxes(self, t_max: int) -> list:
+        return [box for sub in self._models for box in sub.boxes(t_max)]
 
     def pairwise_int(self, nodes: np.ndarray) -> Optional[np.ndarray]:
         """Always ``None``: the integer specialization's zero-clique
         prematch assumes one box, so multi-region decodes take the
         generic float path."""
         return None
-
-    def pairwise_fast(self, nodes: np.ndarray) -> np.ndarray:
-        return self.pairwise(nodes)
-
-    def boundary(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Distance to the nearest boundary and which one.
-
-        Per boundary, the minimum over the direct approach and the
-        detour via each box (the same per-box via math as
-        :meth:`DistanceModel.boundary`).
-        """
-        nodes = np.asarray(nodes, dtype=float)
-        north = nodes[:, 1] + 1.0
-        south = (self.distance - 1) - nodes[:, 1]
-        t_max = int(nodes[:, 0].max(initial=0))
-        for sub in self._models:
-            lo, hi = sub._box_bounds(t_max)
-            clamped = np.clip(nodes, lo, hi)
-            to_box = np.abs(nodes - clamped).sum(axis=1)
-            north_via = (to_box + sub.w_ano * (clamped[:, 1] - lo[1])
-                         + (lo[1] + 1.0))
-            south_via = (to_box + sub.w_ano * (hi[1] - clamped[:, 1])
-                         + (self.distance - 1 - hi[1]))
-            north = np.minimum(north, north_via)
-            south = np.minimum(south, south_via)
-        side = np.where(north <= south, NORTH, SOUTH)
-        return np.minimum(north, south), side
-
-    def node_distance(self, a, b) -> float:
-        """Matching distance between two (t, i, j) nodes."""
-        arr = np.array([a, b], dtype=float)
-        return float(self.pairwise(arr)[0, 1])
-
-    def boundary_distance(self, a) -> tuple[float, int]:
-        """Matching distance from a node to its cheaper boundary."""
-        dist, side = self.boundary(np.array([a], dtype=float))
-        return float(dist[0]), int(side[0])

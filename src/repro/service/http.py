@@ -10,7 +10,9 @@ POST     ``/campaigns``                      submit a spec (the request body
                                              from the result cache, 202 =
                                              scheduled or coalesced, 400 =
                                              malformed spec, 413 = body
-                                             over ``MAX_BODY_BYTES``
+                                             over ``MAX_BODY_BYTES``, 408 =
+                                             body stalled past
+                                             ``READ_TIMEOUT_S``
 GET      ``/campaigns/<spec_hash>``          result / status; 200 complete,
                                              202 in flight, 404 unknown,
                                              500 failed
@@ -47,6 +49,12 @@ DEFAULT_TENANT = "public"
 #: ten; a larger ``Content-Length`` is refused with 413 before any of
 #: the body is read, so a client cannot make the server buffer it.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds a connection may stall on a read — the request line, the
+#: headers, or a declared body that never fully arrives — before the
+#: server drops it, so a slow or dead client cannot hold a server
+#: thread forever.  Idle keep-alive connections close after as long.
+READ_TIMEOUT_S = 30.0
 
 
 def _default_executor_factory() -> Callable[[], Executor]:
@@ -173,6 +181,11 @@ class _Handler(BaseHTTPRequestHandler):
     def app(self) -> ServiceApp:
         return self.server.app  # type: ignore[attr-defined]
 
+    @property
+    def timeout(self) -> float:  # type: ignore[override]
+        """Socket timeout, applied per connection at handler setup."""
+        return READ_TIMEOUT_S
+
     def _send(self, status: int, doc: dict) -> None:
         body = json.dumps(doc, sort_keys=True).encode("utf-8")
         self.send_response(status)
@@ -214,7 +227,18 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(413, {"error": f"request body of {length} bytes "
                                       f"exceeds {MAX_BODY_BYTES}"})
             return
-        body = self.rfile.read(length)
+        try:
+            body = self.rfile.read(length)
+        except TimeoutError:
+            # The client sent less than it declared; the rest of the
+            # stream is unframed, so the connection cannot be reused.
+            self.close_connection = True
+            try:
+                self._send(408, {"error": "request body not received "
+                                          f"within {READ_TIMEOUT_S} s"})
+            except OSError:
+                pass
+            return
         tenant = self.headers.get(TENANT_HEADER, DEFAULT_TENANT).strip() \
             or DEFAULT_TENANT
         self._send(*self.app.submit(body, tenant))

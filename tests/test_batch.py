@@ -7,10 +7,14 @@ from repro.decoding import (
     DistanceModel,
     GreedyDecoder,
     FastGreedyDecoder,
+    MultiRegionDistanceModel,
     SyndromeLattice,
     greedy_cut_parity,
     greedy_decode_fast,
 )
+from repro.decoding.batched import batched_region_cut_parities
+from repro.decoding.greedy import _sparse_pairs, _window_ends
+from repro.decoding.weights import relative_anomalous_weight
 from repro.campaigns import EndToEndSpec, MemorySpec
 from repro.campaigns.runner import shot_engine
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
@@ -159,6 +163,135 @@ class TestFastGreedyEquivalence:
         for arr in (v, h, m):
             assert not arr[0, :2].any()
             assert not arr[0, 4:].any()
+
+
+class TestSparseFloatCore:
+    """The sparse float core equals the dense, unpruned
+    :class:`GreedyDecoder` where its locality bound actually prunes:
+    time spans of many boundary distances, every weight regime, and
+    the awkward boxes (open/closed/overhanging/not yet started)."""
+
+    @staticmethod
+    def _assert_oracle(model, nodes):
+        bdist, _ = model.boundary(nodes)
+        if model.pairwise_int(nodes) is None:  # the sparse path runs
+            dist = model.pairwise(nodes)
+            keep = np.triu(dist <= np.minimum.outer(bdist, bdist), 1)
+            iu, ju, pair_d = _sparse_pairs(model, nodes, bdist)
+            assert np.array_equal(np.stack(np.nonzero(keep)),
+                                  np.stack([iu, ju]))
+            assert np.array_equal(dist[keep], pair_d)
+        ref = GreedyDecoder(model).decode(nodes)
+        got = greedy_decode_fast(model, nodes)
+        assert got.matches == ref.matches
+        assert got.weight == ref.weight
+        assert greedy_cut_parity(model, nodes) == ref.correction_cut_parity
+
+    @staticmethod
+    def _nodes(rng, d, n, span, jitter=False, dups=False):
+        nodes = np.column_stack([
+            rng.integers(0, span, n), rng.integers(0, d - 1, n),
+            rng.integers(0, d, n)])
+        if dups:  # repeat ~10% of the coordinates, shuffled in
+            nodes = rng.permutation(np.vstack(
+                [nodes, nodes[rng.integers(0, n, n // 10)]]))
+        if jitter:
+            nodes = nodes + rng.random(nodes.shape).round(2)
+        return nodes
+
+    @staticmethod
+    def _regions(d, span):
+        return [
+            AnomalousRegion(1, 1, 3, t_lo=span // 3),              # open
+            AnomalousRegion(2, 1, 4, t_lo=span // 4,
+                            t_hi=span // 4 + 3 * d),               # closed
+            AnomalousRegion(d - 2, d - 2, 4, t_lo=span // 2),      # overhang
+            AnomalousRegion(1, 2, 3, t_lo=span + 5),               # t_max < t_lo
+        ]
+
+    @pytest.mark.parametrize("w_ano", [1e-3, 0.18, 0.7, 1.5])
+    def test_long_spans_match_dense_oracle(self, w_ano):
+        rng = np.random.default_rng(int(w_ano * 1000))
+        for k, n in enumerate((120, 400, 1000)):
+            d = (5, 7, 9)[k]
+            span = 12 * d
+            for region in self._regions(d, span):
+                model = DistanceModel(d, region, w_ano)
+                nodes = self._nodes(rng, d, n, span, dups=k == 1)
+                bdist, _ = model.boundary(nodes)
+                assert np.ptp(nodes[:, 0]) >= 10 * bdist.max()
+                self._assert_oracle(model, nodes)
+
+    @pytest.mark.parametrize("w_ano", [1e-3, 0.18, 0.7, 1.5])
+    def test_non_integer_and_duplicate_coordinates(self, w_ano):
+        rng = np.random.default_rng(7)
+        d, span = 7, 90
+        for region in self._regions(d, span) + [None]:
+            model = DistanceModel(d, region, w_ano if region else 0.0)
+            self._assert_oracle(
+                model, self._nodes(rng, d, 300, span, jitter=True))
+            self._assert_oracle(
+                model, self._nodes(rng, d, 300, span, jitter=True,
+                                   dups=True))
+
+    @pytest.mark.parametrize("w_ano", [1e-3, 0.18, 0.7, 1.5])
+    def test_overlapping_multi_region_boxes(self, w_ano):
+        rng = np.random.default_rng(3)
+        d, span = 9, 110
+        model = MultiRegionDistanceModel(d, [
+            AnomalousRegion(1, 1, 4, t_lo=20),
+            AnomalousRegion(2, 3, 4, t_lo=30, t_hi=80),
+            AnomalousRegion(2, 3, 4, t_lo=30, t_hi=80),
+        ], [w_ano, 0.18, w_ano])
+        for dups in (False, True):
+            self._assert_oracle(model, self._nodes(rng, d, 600, span,
+                                                   dups=dups))
+
+    def test_real_endtoend_chunks(self):
+        """Shots straight out of the end-to-end kernel's detect stage
+        (~900 nodes each), decoded under their true strike box at
+        p_ano = 0.3."""
+        p, d = 0.01, 9
+        kernel, _, _ = shot_engine(EndToEndSpec(
+            distance=d, p=p, shots=3, p_ano=0.3, cycles=300, onset=150))
+        kernel.prepare()
+        nodes_list, _, regions, _ = kernel._chunk_packed(
+            3, np.random.default_rng(12))
+        w_ano = relative_anomalous_weight(p, 0.3)
+        refs = []
+        for nodes, regs in zip(nodes_list, regions, strict=True):
+            model = DistanceModel(d, regs[0], w_ano)
+            bdist, _ = model.boundary(nodes)
+            assert np.ptp(nodes[:, 0]) >= 10 * bdist.max()
+            self._assert_oracle(model, nodes)
+            refs.append(GreedyDecoder(model).decode(nodes)
+                        .correction_cut_parity)
+        assert np.array_equal(
+            batched_region_cut_parities(d, list(regions), nodes_list,
+                                        w_ano), refs)
+
+    def test_window_ends_exact_under_rounding(self):
+        """Window ends agree with the float difference ``t[q] - t[p]``
+        itself, also where ``t[p] + bound`` rounds the other way."""
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            # Decimal tenths are inexact in binary: t[p] + bound and
+            # t[q] - t[p] round apart in both directions.
+            t = np.sort(rng.integers(0, 50, 40) / 10.0)
+            bound = int(rng.integers(1, 30)) / 10.0
+            inside = np.triu(t[None, :] - t[:, None] <= bound, 1)
+            want = np.arange(1, 41) + inside.sum(axis=1)
+            assert np.array_equal(_window_ends(t, bound), want)
+
+    @pytest.mark.parametrize("w_ano", [-0.1, -1e-300, float("nan")])
+    def test_negative_or_nan_weight_rejected(self, w_ano):
+        boxes = [AnomalousRegion(1, 1, 3), AnomalousRegion(2, 2, 3)]
+        with pytest.raises(ValueError, match="w_ano"):
+            DistanceModel(9, boxes[0], w_ano)
+        with pytest.raises(ValueError, match="w_ano"):
+            MultiRegionDistanceModel(9, boxes, w_ano)
+        with pytest.raises(ValueError, match="w_ano"):
+            MultiRegionDistanceModel(9, boxes, [0.5, w_ano])
 
 
 class TestBitops:

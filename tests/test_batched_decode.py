@@ -162,42 +162,6 @@ class TestBatchedEquivalence:
                 ref, batched_cut_parities(model, nodes_list))
 
 
-class TestBatchDistancePrimitives:
-    """pairwise_batch / boundary_batch equal the per-shot primitives
-    shot for shot, including weighted regions and per-shot box tops."""
-
-    def test_batch_primitives_match_per_shot(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            d = int(rng.integers(3, 13))
-            S = int(rng.integers(1, 7))
-            n = int(rng.integers(1, 14))
-            model = _random_model(rng, d)
-            stack = np.stack([_random_nodes(rng, d, n) for _ in range(S)])
-            pb = model.pairwise_batch(stack)
-            bb, sb = model.boundary_batch(stack)
-            for s in range(S):
-                assert np.array_equal(pb[s], model.pairwise(stack[s]))
-                bd, sd = model.boundary(stack[s])
-                assert np.array_equal(bb[s], bd)
-                assert np.array_equal(sb[s], sd)
-
-    def test_open_window_box_top_is_per_shot(self):
-        """Shots with different t ranges clip the box independently."""
-        model = DistanceModel(6, AnomalousRegion(1, 1, 3, t_lo=2), 0.5)
-        stack = np.stack([
-            np.array([[0, 3, 2], [0, 1, 4]]),    # t_max < t_lo
-            np.array([[5, 3, 2], [4, 1, 4]]),    # window open
-        ]).astype(float)
-        pb = model.pairwise_batch(stack)
-        bb, sb = model.boundary_batch(stack)
-        for s in range(2):
-            assert np.array_equal(pb[s], model.pairwise(stack[s]))
-            bd, sd = model.boundary(stack[s])
-            assert np.array_equal(bb[s], bd)
-            assert np.array_equal(sb[s], sd)
-
-
 class TestScratchArena:
     def test_buffers_reused_across_chunks(self):
         arena = ScratchArena()

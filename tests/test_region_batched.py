@@ -12,9 +12,9 @@ loops now housed in ``tests/reference_engines.py``).
 import numpy as np
 import pytest
 
-from repro.decoding.batched import (ScratchArena, _float_bucket_parities,
+from repro.decoding.batched import (ScratchArena, batched_cut_parities,
                                     batched_region_cut_parities)
-from repro.decoding.greedy import greedy_cut_parity
+from repro.decoding.greedy import GreedyDecoder, greedy_cut_parity
 from repro.decoding.weights import DistanceModel, region_signature
 from repro.noise.models import AnomalousRegion
 from repro.scenarios.model import Scenario, StrikeEvent
@@ -149,17 +149,19 @@ class TestBatchedRegionCutParities:
         with pytest.raises(ValueError):
             batched_region_cut_parities(9, [None], [], 0.0)
 
-    def test_float_bucket_tier_matches_per_shot(self, rng):
-        """Weighted regions take the pairwise_batch/boundary_batch tier:
-        bucket-wide float builds feeding the per-shot acceptance."""
+    def test_weighted_region_matches_dense_oracle(self, rng):
+        """Weighted regions leave the integer engine for the per-shot
+        sparse core; the chunk still equals the dense, unpruned
+        GreedyDecoder shot for shot."""
         d = 9
         model = DistanceModel(d, AnomalousRegion(1, 1, 3, t_lo=2), 0.7)
         nodes_list = [np.column_stack([
             rng.integers(0, 12, int(n)), rng.integers(0, d - 1, int(n)),
             rng.integers(0, d, int(n))])
             for n in rng.integers(1, 18, 30)]
-        got = _float_bucket_parities(model, nodes_list)
-        ref = np.array([greedy_cut_parity(model, nodes)
+        got = batched_cut_parities(model, nodes_list)
+        ref = np.array([GreedyDecoder(model).decode(nodes)
+                        .correction_cut_parity
                         for nodes in nodes_list], dtype=np.int8)
         assert np.array_equal(got, ref)
 

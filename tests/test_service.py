@@ -16,6 +16,7 @@ import urllib.request
 from repro import campaigns
 from repro.campaigns.checkpoint import CheckpointStore
 from repro.service import ServiceApp, make_server, read_partial
+import repro.service.http as service_http
 from repro.service.http import MAX_BODY_BYTES, TENANT_HEADER
 
 
@@ -383,6 +384,35 @@ class TestHTTP:
                                       f"/campaigns/{h}/partial")
             assert code == 200 and doc["shots_done"] == 32
         finally:
+            server.shutdown()
+            server.server_close()
+            app.close()
+
+    def test_short_body_times_out_with_408(self, tmp_path, monkeypatch):
+        """A client that declares more body than it sends is answered
+        408 and dropped after READ_TIMEOUT_S, instead of holding its
+        server thread in a blocking read forever."""
+        monkeypatch.setattr(service_http, "READ_TIMEOUT_S", 0.3)
+        app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
+        server = make_server(app, "127.0.0.1", 0)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        conn = http.client.HTTPConnection(
+            "127.0.0.1", server.server_address[1], timeout=10)
+        try:
+            conn.putrequest("POST", "/campaigns")
+            conn.putheader("Content-Type", "application/json")
+            conn.putheader("Content-Length", "100")
+            conn.endheaders(b'{"kind": "memory"')  # 17 of 100 bytes
+            start = time.monotonic()
+            resp = conn.getresponse()
+            assert resp.status == 408
+            assert "not received" in json.load(resp)["error"]
+            assert time.monotonic() - start < 5
+            assert conn.sock.recv(1) == b""  # the server hung up
+            assert app.health()[1]["jobs_run"] == 0
+        finally:
+            conn.close()
             server.shutdown()
             server.server_close()
             app.close()
