@@ -16,6 +16,9 @@ import enum
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+#: Neighbour offsets, in the order BFS visits them.
+_OFFSETS = ((-1, 0), (1, 0), (0, -1), (0, 1))
+
 
 class BlockState(enum.Enum):
     VACANT = "vacant"
@@ -46,6 +49,11 @@ class QubitPlane:
         self.rows = rows
         self.cols = cols
         self.blocks = [[Block(r, c) for c in range(cols)] for r in range(rows)]
+        #: In-bounds 4-neighbours of each row-major cell ``r * cols + c``.
+        self.neighbor_table: tuple[tuple[int, ...], ...] = tuple(
+            tuple((r + dr) * cols + c + dc for dr, dc in _OFFSETS
+                  if 0 <= r + dr < rows and 0 <= c + dc < cols)
+            for r in range(rows) for c in range(cols))
         self.logical_positions: dict[int, tuple[int, int]] = {}
         self.expansions: dict[int, list[tuple[int, int]]] = {}
         qubit = 0
@@ -65,9 +73,8 @@ class QubitPlane:
         return 0 <= row < self.rows and 0 <= col < self.cols
 
     def neighbors(self, row: int, col: int) -> Iterator[tuple[int, int]]:
-        for dr, dc in ((-1, 0), (1, 0), (0, -1), (0, 1)):
-            if self.in_bounds(row + dr, col + dc):
-                yield row + dr, col + dc
+        return (divmod(n, self.cols)
+                for n in self.neighbor_table[row * self.cols + col])
 
     # ------------------------------------------------------------------
     # Anomaly and expansion management
@@ -142,6 +149,35 @@ class QubitPlane:
         return (blk.state is BlockState.VACANT
                 and blk.busy_until <= slot
                 and blk.anomalous_until <= slot)
+
+    def routable_components(self, slot: int) -> list[int]:
+        """Connected components of the routable blocks this slot.
+
+        Returns one label per flat cell: 0 if the block is not
+        :meth:`routable`, otherwise a positive label shared exactly by
+        the routable blocks a lattice-surgery path can join.
+        """
+        # -1 marks a routable cell not yet reached by the flood fill.
+        vacant = BlockState.VACANT
+        labels = [-1 if (blk.state is vacant
+                         and blk.busy_until <= slot
+                         and blk.anomalous_until <= slot) else 0
+                  for row in self.blocks for blk in row]
+        nbrs = self.neighbor_table
+        label = 0
+        for cell in range(len(labels)):
+            if labels[cell] >= 0:
+                continue
+            label += 1
+            labels[cell] = label
+            stack = [cell]
+            pop, push = stack.pop, stack.append
+            while stack:
+                for nxt in nbrs[pop()]:
+                    if labels[nxt] < 0:
+                        labels[nxt] = label
+                        push(nxt)
+        return labels
 
     def qubit_free(self, qubit: int, slot: int) -> bool:
         """True iff a logical qubit is not reserved by an executing op."""

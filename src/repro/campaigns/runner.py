@@ -618,7 +618,10 @@ def _run_throughput(spec: ThroughputSpec, executor: Executor,
         kind=spec.kind,
         estimates={"throughput": detail.throughput},
         counts={"instructions": detail.instructions,
-                "slots": detail.slots, "strikes": detail.strikes},
+                "slots": detail.slots, "strikes": detail.strikes,
+                # 1: the run stopped at max_slots before finishing, so
+                # its throughput is a saturation artefact, not a rate.
+                "capped": int(detail.instructions < spec.num_instructions)},
         provenance=_provenance(spec, executor, started),
         detail=detail,
     )

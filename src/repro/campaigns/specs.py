@@ -450,6 +450,9 @@ class ThroughputSpec:
                "strike_duration_slots must be >= 1")
         _check(self.rows >= 1 and self.cols >= 1,
                "plane dimensions must be >= 1")
+        _check((self.rows // 2) * (self.cols // 2) >= 2,
+               "plane must host >= 2 logical qubits "
+               "((rows // 2) * (cols // 2) >= 2) for meas_ZZ pairs")
         _check(self.max_slots >= 1, "max_slots must be >= 1")
         _check(isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED,
                "seed must be an int in [0, 2**63)")

@@ -9,15 +9,22 @@ decode survive here, verbatim, as the certified reference the
 equivalence suite scores the batched engines against.  They are test
 fixtures: slow, rng-streamed shot by shot, and deliberately untouched by
 campaign features.
+
+:func:`reference_route` is the Fig. 10 scheduler's original routing BFS,
+which searched every routable block through the generator
+``neighbors()``; the component-labelled router must return its exact
+path, or ``None`` when it does.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from typing import Optional
 
 import numpy as np
 
+from repro.arch.qubit_plane import QubitPlane
 from repro.core.anomaly import AnomalyDetectionUnit
 from repro.decoding.graph import SyndromeLattice
 from repro.decoding.greedy import GreedyDecoder
@@ -195,3 +202,31 @@ def reference_detection_trials(
         mean_position_error=(float(np.mean(position_errors))
                              if position_errors else float("nan")),
     )
+
+
+def reference_route(plane: QubitPlane, a: tuple[int, int],
+                    b: tuple[int, int],
+                    slot: int) -> Optional[list[tuple[int, int]]]:
+    """BFS over routable vacant blocks from qubit block a to b."""
+    start_adj = [n for n in plane.neighbors(*a)
+                 if plane.routable(*n, slot)]
+    goal_adj = {n for n in plane.neighbors(*b)
+                if plane.routable(*n, slot)}
+    if not start_adj or not goal_adj:
+        return None
+    queue = deque(start_adj)
+    parents: dict[tuple[int, int], Optional[tuple[int, int]]] = {
+        n: None for n in start_adj}
+    while queue:
+        cell = queue.popleft()
+        if cell in goal_adj:
+            path = [cell]
+            while parents[path[-1]] is not None:
+                path.append(parents[path[-1]])
+            return path
+        for nxt in plane.neighbors(*cell):
+            if nxt in parents or not plane.routable(*nxt, slot):
+                continue
+            parents[nxt] = cell
+            queue.append(nxt)
+    return None

@@ -81,6 +81,11 @@ class TestSpecValidation:
             campaigns.ScalingSpec(areas=())
         with pytest.raises(campaigns.SpecError):
             campaigns.ThroughputSpec(architecture="ibm")
+        # Planes hosting fewer than two logical qubits cannot pair them.
+        for rows, cols in [(3, 3), (1, 11), (2, 3), (11, 1), (3, 2)]:
+            with pytest.raises(campaigns.SpecError):
+                campaigns.ThroughputSpec(rows=rows, cols=cols)
+        campaigns.ThroughputSpec(rows=3, cols=4)   # 2 qubits: accepted
 
     def test_detection_resolved_cycles_defaults(self):
         spec = campaigns.DetectionSpec(distance=7, p=1e-3, p_ano=0.05,
@@ -473,6 +478,17 @@ class TestResults:
             "baseline", 50, rng=np.random.default_rng(2))
         assert result.estimates["throughput"] == expected.throughput
         assert result.counts["instructions"] == expected.instructions
+
+    def test_throughput_reports_capped_runs(self):
+        capped = campaigns.run(campaigns.ThroughputSpec(
+            num_instructions=200, max_slots=10, seed=3))
+        assert capped.counts["instructions"] < 200
+        assert capped.counts["slots"] == 10
+        assert capped.counts["capped"] == 1
+        done = campaigns.run(campaigns.ThroughputSpec(
+            num_instructions=20, seed=3))
+        assert done.counts["instructions"] == 20
+        assert done.counts["capped"] == 0
 
 
 # ----------------------------------------------------------------------
