@@ -446,6 +446,68 @@ def bench_e2e_decode_stage_speedup(benchmark):
         f"e2e decode-stage throughput {ratio:.2f}x < 3x"
 
 
+#: One ``endtoend_pano03``-shaped chunk: every strike-informed decode
+#: runs the weighted float tier (p_ano = 0.3, w_ano ~ 0.18).
+FLOAT_DECODE_POINT = dict(distance=9, p=0.01, p_ano=0.3, cycles=300,
+                          onset=150)
+
+
+def _float_decode_chunk(shots, seed, **point):
+    """Per-shot and batched kernels plus one sampled + detected chunk."""
+    kernels = {}
+    for mode in ("pershot", "batched"):
+        k, _, _ = shot_engine(EndToEndSpec(shots=shots, decode=mode,
+                                           **point))
+        k.prepare()
+        kernels[mode] = k
+    chunk = kernels["batched"]._chunk_packed(
+        shots, np.random.default_rng(seed))
+    return kernels, chunk
+
+
+@pytest.mark.benchmark(group="batch")
+def bench_float_decode_stage(benchmark):
+    """Absolute throughput of the weighted (float-tier) decode stage.
+
+    Times the batched decode + accumulate tail of one ``endtoend_pano03``
+    -shaped chunk (d=9, p=0.01, p_ano=0.3, 300 cycles, onset 150): the
+    naive matching batches in the integer engine, the oracle and
+    detected matchings decode shot by shot in the sparse float core.
+    Recorded as shots and active nodes per second (best of the
+    repeats), with the rows asserted bit-equal to the per-shot loop.
+    """
+    shots = max(16, int(16 * scale()))
+    repeats = 3
+    kernels, chunk = _float_decode_chunk(shots, 0, **FLOAT_DECODE_POINT)
+    nodes = sum(len(n) for n in chunk[0])
+
+    def run():
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            out = kernels["batched"]._assemble(*chunk)
+            times.append(time.perf_counter() - start)
+        return min(times), out
+
+    best, out = benchmark.pedantic(run, rounds=1, iterations=1)
+    assert np.array_equal(out, kernels["pershot"]._assemble(*chunk)), \
+        "batched float decode diverged from the per-shot loop"
+    print_table(
+        f"Weighted decode stage (d=9 p=0.01 p_ano=0.3, {shots} shots, "
+        f"{nodes} nodes, best of {repeats})",
+        ["wall clock (ms)", "shots/s", "nodes/s"],
+        [[f"{best * 1e3:.0f}", f"{shots / best:.1f}",
+          f"{nodes / best:.0f}"]])
+    emit_json("batch", "float_decode_stage", {
+        "shots_per_chunk": shots,
+        "nodes_per_chunk": nodes,
+        "repeats_min_of": repeats,
+        "throughput_shots_per_sec": shots / best,
+        "throughput_nodes_per_sec": nodes / best,
+        "pershot_rows_bit_equal": True,
+    })
+
+
 @pytest.mark.benchmark(group="batch")
 def bench_batch_single_point_timing(benchmark):
     """Time the heaviest single point (d=13, p=2.5e-2, informed)."""
@@ -480,3 +542,7 @@ def smoke() -> None:
     chunk = e2e["batched"]._chunk_packed(24, np.random.default_rng(2))
     assert np.array_equal(e2e["pershot"]._assemble(*chunk),
                           e2e["batched"]._assemble(*chunk))
+    flt, chunk = _float_decode_chunk(
+        4, 1, **dict(FLOAT_DECODE_POINT, distance=5, cycles=40, onset=20))
+    assert np.array_equal(flt["pershot"]._assemble(*chunk),
+                          flt["batched"]._assemble(*chunk))

@@ -25,7 +25,6 @@ from repro.decoding.mwpm import MWPMDecoder
 from repro.decoding.greedy import (FastGreedyDecoder, GreedyDecoder,
                                    greedy_cut_parity, greedy_decode_fast)
 from repro.decoding.decoder_base import DecodeResult, Match
-from repro.decoding.dijkstra import GridDijkstra
 from repro.decoding.batched import (ScratchArena, batched_cut_parities,
                                     batched_decode)
 
@@ -45,5 +44,4 @@ __all__ = [
     "Match",
     "NORTH",
     "SOUTH",
-    "GridDijkstra",
 ]

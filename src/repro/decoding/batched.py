@@ -9,7 +9,9 @@ certified *bit-identical* to :func:`repro.decoding.greedy
 accepts.  Anything else — a weighted box, several boxes, coordinates
 outside the integer envelope — decodes shot by shot through those
 functions' sparse, locality-bounded float core, which needs no
-batching: it builds O(n * window) candidates, not O(n^2) tensors.
+batching: it evaluates only the pairs within both nodes' time reach
+(boundary distance, stretched by a cheap box's weight), not O(n^2)
+tensors.
 
 * **Bucketed distance builds** — shots are grouped by active-node count
   ``n`` and stacked into ``(S, n, 3)`` tensors; pairwise and boundary

@@ -40,32 +40,6 @@ def _upper_mask(n: int) -> np.ndarray:
     return _UPPER_MASK[:n, :n]
 
 
-def _window_ends(t: np.ndarray, bound: float) -> np.ndarray:
-    """Exclusive end of each row's ``t[q] - t[p] <= bound`` window.
-
-    ``t`` is sorted, so the float difference is monotone in ``q`` and
-    each window is ``(p, end[p])``.  ``searchsorted`` compares against
-    the separately rounded ``t[p] + bound``; the loops nudge the rows it
-    misplaces until every end is exact for the difference itself.
-    """
-    n = len(t)
-    rows = np.arange(n)
-    end = np.maximum(np.searchsorted(t, t + bound, side="right"), rows + 1)
-    while True:  # over-shot rows: t[end - 1] lies outside the window
-        idx = np.flatnonzero(end > rows + 1)
-        idx = idx[t[end[idx] - 1] - t[idx] > bound]
-        if not len(idx):
-            break
-        end[idx] -= 1
-    while True:  # under-shot rows: t[end] still lies inside
-        idx = np.flatnonzero(end < n)
-        idx = idx[t[end[idx]] - t[idx] <= bound]
-        if not len(idx):
-            break
-        end[idx] += 1
-    return end
-
-
 def _spans(starts: np.ndarray, stops: np.ndarray):
     """``(row, k)`` for every ``k`` in ``range(starts[row], stops[row])``."""
     counts = stops - starts
@@ -75,45 +49,99 @@ def _spans(starts: np.ndarray, stops: np.ndarray):
     return rows, starts[rows] + offset
 
 
+def _vias(model: DistanceModel, pts: np.ndarray) -> list:
+    """``(clamped.T, to_box, w)`` per detour box of ``model``."""
+    vias = []
+    for lo, hi, w in model.boxes(int(pts[:, 0].max(initial=0))):
+        clamped = np.clip(pts, lo, hi)
+        to_box = np.abs(pts - clamped).sum(axis=1)
+        vias.append((np.ascontiguousarray(clamped.T), to_box, w))
+    return vias
+
+
+#: Relative slack on each node's reach budget (see :func:`_reach`).
+_REACH_SLACK = 1e-9
+
+
+def _reach(t: np.ndarray, bdist: np.ndarray, vias: list) -> np.ndarray:
+    """Per-node time reach ``R``: every kept pair has ``|dt| <= min(R_i,
+    R_j)``.
+
+    ``vias`` is :func:`_vias` of the same nodes.  A kept pair has
+    ``dist <= min(b_i, b_j)`` (``b`` = ``bdist``).  Its direct path
+    costs at least ``|dt|``, so ``|dt| <= b_i``.  A detour via box
+    ``k`` costs ``to_i + to_j + w * inside >= to_i`` and spans
+    ``|dt| <= to_i + to_j + inside``: with ``w >= 1`` that is again
+    ``<= b_i``, and with ``0 < w < 1`` it is ``<= to_i + (b_i - to_i) /
+    w`` once ``to_i <= b_i``.  A ``w = 0`` box bounds nothing: its
+    near nodes (``to_i <= b_i``) get an infinite reach.
+
+    The bound runs on a padded budget ``b_i + slack``
+    (:data:`_REACH_SLACK` times ``b_i + 1 + max|t|``).  A float via sum
+    that passes the keep rule may exceed ``b_i`` in exact arithmetic by
+    a few ulps of ``b_i`` — a tiny ``w * inside`` can vanish into
+    ``to_i + to_j`` entirely — and dividing by ``w`` amplifies that, so
+    the slack enters before the division; its ``|t|`` part covers the
+    rounding of the window ends ``t + R``.  Over-inclusion is harmless:
+    the exact keep rule drops those pairs.
+    """
+    scale = 1.0 + np.abs(t).max(initial=0.0)
+    budget = bdist + _REACH_SLACK * (bdist + scale)
+    reach = budget.copy()
+    for _, to_box, w in vias:
+        near = to_box <= budget
+        if w == 0.0:
+            reach[near] = np.inf
+        elif w < 1.0:
+            to_near = to_box[near]
+            reach[near] = np.maximum(
+                reach[near], to_near + (budget[near] - to_near) / w)
+    return reach
+
+
 def _sparse_pairs(model: DistanceModel, nodes: np.ndarray,
                   bdist: np.ndarray):
     """Kept node-node candidates ``(iu, ju, dist)`` of the float path.
 
     Equal to ``np.nonzero`` of the dense keep rule ``pairwise(nodes) <=
     min(bdist_i, bdist_j)`` over ``i < j`` (row-major), with the same
-    distances, without the O(n^2) matrix.  With ``B = max(bdist)`` a
-    kept pair has ``dist <= B``, so either its direct path or its detour
-    via some box ``k`` costs at most ``B``.  Float addition of
-    non-negatives is monotone under IEEE rounding and ``w_ano >= 0``, so
-    ``direct >= |dt|`` and ``via_k >= to_box_k`` of either end: every
-    kept pair lies in (a) the time-sorted window ``|dt| <= B`` or (b)
-    the pairs of nodes within ``B`` of one box, taken here with
-    ``|dt| > B`` so the passes are disjoint.  Over-included pairs fail
-    the exact keep rule, evaluated with :meth:`DistanceModel.pairwise`'s
-    float expressions (the shared :func:`manhattan` sum, then
-    ``min(direct, (to_box_i + to_box_j) + w * inside)`` over boxes), so
-    the kept set — and hence every match, weight and parity — is
-    identical to the dense build.
+    distances, without the O(n^2) matrix.  Every kept pair satisfies
+    ``|dt| <= min(R_i, R_j)`` for the per-node reach :func:`_reach`
+    (``R_i = b_i``, raised by each ``0 < w < 1`` box the node is near
+    to ``to_box + (b_i - to_box) / w``, on a budget ``b_i`` padded
+    against rounding).  One pass over the time-sorted nodes generates
+    each pair once, from its earlier node's forward window ``t_j - t_i
+    <= R_i``, and keeps it only if also ``t_j - t_i <= R_j``.  Near a ``w = 0`` box the
+    reach is infinite: those nodes take the largest finite reach as
+    their window, and the pairs among them that the window pass leaves
+    out are added by an all-pairs pass, so no pair is produced twice.
+    Over-included pairs fail the exact keep rule, evaluated with
+    :meth:`DistanceModel.pairwise`'s float expressions (the shared
+    :func:`manhattan` sum, then ``min(direct, (to_box_i + to_box_j) +
+    w * inside)`` over boxes), so the kept set — and hence every match,
+    weight and parity — is identical to the dense build.
     """
     pts = np.asarray(nodes, dtype=float)
     n = len(pts)
-    bound = bdist.max()
+    vias = _vias(model, pts)
     order = np.argsort(pts[:, 0], kind="stable")
-    rows, cols = _spans(np.arange(1, n + 1),
-                        _window_ends(pts[order, 0], bound))
-    a_parts, b_parts = [order[rows]], [order[cols]]
-    vias = []
-    for lo, hi, w in model.boxes(int(pts[:, 0].max(initial=0))):
-        clamped = np.clip(pts, lo, hi)
-        to_box = np.abs(pts - clamped).sum(axis=1)
-        vias.append((np.ascontiguousarray(clamped.T), to_box, w))
-        near = order[to_box[order] <= bound]  # time-sorted
-        rows, cols = _spans(_window_ends(pts[near, 0], bound),
-                            np.full(len(near), len(near)))
-        a_parts.append(near[rows])
-        b_parts.append(near[cols])
-    a = np.concatenate(a_parts)
-    b = np.concatenate(b_parts)
+    ts = pts[order, 0]
+    reach = _reach(pts[:, 0], bdist, vias)[order]
+    unbounded = np.isinf(reach)
+    reach[unbounded] = reach[~unbounded].max(initial=0.0)
+    end = np.maximum(np.searchsorted(ts, ts + reach, side="right"),
+                     np.arange(1, n + 1))
+    rows, cols = _spans(np.arange(1, n + 1), end)  # sorted positions
+    sel = ts[cols] - ts[rows] <= reach[cols]
+    a, b = order[rows[sel]], order[cols[sel]]
+    if unbounded.any():  # the pairs among them the window pass left out
+        near = np.flatnonzero(unbounded)
+        m = len(near)
+        rows, cols = _spans(np.arange(1, m + 1), np.full(m, m))
+        rows, cols = near[rows], near[cols]
+        sel = (cols >= end[rows]) | (ts[cols] - ts[rows] > reach[cols])
+        a = np.concatenate([a, order[rows[sel]]])
+        b = np.concatenate([b, order[cols[sel]]])
     # Every term below is symmetric in (a, b) bit for bit, so the pairs
     # are put in i < j order only once the keep rule has thinned them.
     cols = np.ascontiguousarray(pts.T)
@@ -125,11 +153,8 @@ def _sparse_pairs(model: DistanceModel, nodes: np.ndarray,
     a, b = a[keep], b[keep]
     key = np.minimum(a, b) * n + np.maximum(a, b)
     srt = np.argsort(key, kind="stable")
-    key, keep = key[srt], keep[srt]
-    if len(vias) > 1:  # overlapping boxes can yield a pair twice
-        first = np.diff(key, prepend=-1) != 0
-        key, keep = key[first], keep[first]
-    return key // n, key % n, dist[keep]
+    key = key[srt]
+    return key // n, key % n, dist[keep[srt]]
 
 
 def _greedy_fast_core(model: DistanceModel, nodes: np.ndarray,
@@ -143,13 +168,18 @@ def _greedy_fast_core(model: DistanceModel, nodes: np.ndarray,
     Integer-exact models (uniform, or a ``w_ano = 0`` box) build the
     ``int16`` :meth:`DistanceModel.pairwise_int` matrix; everything else
     (a weighted box, several boxes, non-integer coordinates) takes the
-    sparse candidate generator :func:`_sparse_pairs`, which does
-    O(n * window) work instead of the O(n^2) float broadcast.  It is
-    exact, not a heuristic: with ``w_ano >= 0`` no pair outside its
-    locality windows can pass the keep rule, and it emits the kept pairs
-    in the dense build's row-major order with bit-equal distances, so
-    the stable sort and the acceptance loop below see the same
-    candidate list.
+    sparse candidate generator :func:`_sparse_pairs`, which evaluates
+    only the pairs within both ends' time reach instead of the O(n^2)
+    float broadcast.  The reach of a node is its boundary distance
+    ``b``, stretched to ``to_box + (b - to_box) / w`` by each ``0 < w <
+    1`` box it can reach within ``b`` (a cheap detour spans more time),
+    and padded by a slack that dominates float rounding; nodes near a
+    ``w = 0`` box, which bounds nothing, are paired all against all.
+    It is exact, not a heuristic: with ``w_ano >= 0`` no pair beyond
+    either end's reach can pass the keep rule (see :func:`_reach`), and
+    it emits the kept pairs in the dense build's row-major order with
+    bit-equal distances, so the stable sort and the acceptance loop
+    below see the same candidate list.
     """
     n = len(nodes)
     dist = model.pairwise_int(nodes)

@@ -71,14 +71,16 @@ def manhattan(x, y) -> np.ndarray:
 
 
 def _check_weight(w_ano) -> float:
-    """``w_ano`` as a float, rejecting negative or NaN weights.
+    """``w_ano`` as a float, rejecting negative or non-finite weights.
 
     A negative weight makes via distances negative (matching becomes
-    ill-posed) and voids the locality bound of the sparse greedy core.
+    ill-posed) and voids the locality bound of the sparse greedy core;
+    an infinite one turns ``w * 0`` into NaN distances.
     """
     w = float(w_ano)
-    if not w >= 0.0:
-        raise ValueError(f"w_ano must be a non-negative number, got {w_ano!r}")
+    if not 0.0 <= w < math.inf:
+        raise ValueError(
+            f"w_ano must be a finite non-negative number, got {w_ano!r}")
     return w
 
 

@@ -1,4 +1,4 @@
-"""Exact shortest paths on the weighted space-time decoding grid.
+"""Exact shortest paths on the weighted space-time decoding grid (oracle).
 
 The fast :class:`repro.decoding.weights.DistanceModel` evaluates a small
 set of candidate routes (direct, via the anomalous box) in O(1) per
@@ -6,8 +6,9 @@ pair -- the trick that keeps the paper's greedy decoder constant-time
 per path query (Fig. 6c).  This module provides the ground truth it
 approximates: a Dijkstra search over the explicit 3-D grid with
 per-edge weights (1 for normal edges, ``w_ano`` inside the anomalous
-region).  It is used by tests to certify the approximation and is exact
-for any ``w_ano``, at grid-search cost.
+region).  It is a test oracle that certifies the approximation
+(``test_dijkstra.py``) and is exact for any ``w_ano``, at grid-search
+cost.
 """
 
 from __future__ import annotations

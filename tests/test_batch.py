@@ -13,7 +13,8 @@ from repro.decoding import (
     greedy_decode_fast,
 )
 from repro.decoding.batched import batched_region_cut_parities
-from repro.decoding.greedy import _sparse_pairs, _window_ends
+from repro.decoding import greedy
+from repro.decoding.greedy import _reach, _sparse_pairs, _vias
 from repro.decoding.weights import relative_anomalous_weight
 from repro.campaigns import EndToEndSpec, MemorySpec
 from repro.campaigns.runner import shot_engine
@@ -181,6 +182,12 @@ class TestSparseFloatCore:
             assert np.array_equal(np.stack(np.nonzero(keep)),
                                   np.stack([iu, ju]))
             assert np.array_equal(dist[keep], pair_d)
+            # The radius bound itself: every kept pair is within reach
+            # of both of its ends.
+            pts = np.asarray(nodes, dtype=float)
+            reach = _reach(pts[:, 0], bdist, _vias(model, pts))
+            dt = np.abs(pts[iu, 0] - pts[ju, 0])
+            assert np.all(dt <= np.minimum(reach[iu], reach[ju]))
         ref = GreedyDecoder(model).decode(nodes)
         got = greedy_decode_fast(model, nodes)
         assert got.matches == ref.matches
@@ -200,14 +207,36 @@ class TestSparseFloatCore:
         return nodes
 
     @staticmethod
-    def _regions(d, span):
+    def _regions(d, span, t0=0):
         return [
-            AnomalousRegion(1, 1, 3, t_lo=span // 3),              # open
-            AnomalousRegion(2, 1, 4, t_lo=span // 4,
-                            t_hi=span // 4 + 3 * d),               # closed
-            AnomalousRegion(d - 2, d - 2, 4, t_lo=span // 2),      # overhang
-            AnomalousRegion(1, 2, 3, t_lo=span + 5),               # t_max < t_lo
+            AnomalousRegion(1, 1, 3, t_lo=t0 + span // 3),          # open
+            AnomalousRegion(2, 1, 4, t_lo=t0 + span // 4,
+                            t_hi=t0 + span // 4 + 3 * d),           # closed
+            AnomalousRegion(d - 2, d - 2, 4, t_lo=t0 + span // 2),  # overhang
+            AnomalousRegion(1, 2, 3, t_lo=t0 + span + 5),  # t_max < t_lo
         ]
+
+    @pytest.mark.parametrize("t0", [0, 1000, 10 ** 6])
+    @pytest.mark.parametrize("w_ano", [1e-12, 1e-3, 0.18, 1.0, 1.5, 7.0])
+    def test_reach_sweep(self, w_ano, t0):
+        """The per-node reach holds for every weight regime (tiny, below,
+        at and above 1), with and without decimal-tenths jitter, at time
+        offsets where ``t + reach`` rounds, for the awkward boxes and for
+        a multi-region model with a ``w = 0`` box beside the weighted
+        one."""
+        rng = np.random.default_rng(int(w_ano * 1e3) + t0)
+        d, span = 7, 80
+        regions = self._regions(d, span, t0)
+        models = [DistanceModel(d, reg, w_ano) for reg in regions]
+        models.append(MultiRegionDistanceModel(
+            d, [regions[0], regions[1]], [0.0, w_ano]))
+        for model in models:
+            for jitter in (False, True):
+                nodes = self._nodes(rng, d, 250, span).astype(float)
+                nodes[:, 0] += t0
+                if jitter:  # tenths are inexact in binary
+                    nodes = nodes + rng.integers(0, 10, nodes.shape) / 10.0
+                self._assert_oracle(model, nodes)
 
     @pytest.mark.parametrize("w_ano", [1e-3, 0.18, 0.7, 1.5])
     def test_long_spans_match_dense_oracle(self, w_ano):
@@ -247,43 +276,72 @@ class TestSparseFloatCore:
             self._assert_oracle(model, self._nodes(rng, d, 600, span,
                                                    dups=dups))
 
-    def test_real_endtoend_chunks(self):
+    @pytest.mark.parametrize("region, w_ano, nodes", [
+        # w = 1/11 rounds the in-box reach b / w to just under 24.
+        (AnomalousRegion(1, 1, 5), 1 / 11, [[6, 3, 3], [30, 3, 3]]),
+        # w * inside vanishes into to_i + to_j = b: a kept pair with
+        # dt = 5 while exact arithmetic would bound it by b - to_i = 0.
+        (AnomalousRegion(4, 7, 4, t_lo=18, t_hi=39), 1e-300,
+         [[18, 6, 7], [23, 7, 6]]),
+    ])
+    def test_reach_slack_covers_rounding(self, region, w_ano, nodes):
+        """Kept pairs just beyond the exact-arithmetic reach: only the
+        slack on the budget keeps them in the window."""
+        model = DistanceModel(9, region, w_ano)
+        nodes = np.array(nodes)
+        bdist, _ = model.boundary(nodes)
+        to_box = _vias(model, nodes.astype(float))[0][1]
+        exact = to_box + (bdist - to_box) / w_ano
+        assert abs(nodes[1, 0] - nodes[0, 0]) > exact.min()
+        assert model.pairwise(nodes)[0, 1] <= bdist.min()
+        self._assert_oracle(model, nodes)
+
+    def test_real_endtoend_chunks(self, monkeypatch):
         """Shots straight out of the end-to-end kernel's detect stage
-        (~900 nodes each), decoded under their true strike box at
-        p_ano = 0.3."""
+        (~900 nodes each), decoded at p_ano = 0.3 under their true
+        strike box and the detection unit's estimate, as the campaign
+        does.  The per-node reach evaluates fewer than half the pairs of
+        a shared window ``|dt| <= max(bdist)`` plus all pairs of the
+        nodes within ``max(bdist)`` of the box."""
         p, d = 0.01, 9
         kernel, _, _ = shot_engine(EndToEndSpec(
             distance=d, p=p, shots=3, p_ano=0.3, cycles=300, onset=150))
         kernel.prepare()
-        nodes_list, _, regions, _ = kernel._chunk_packed(
+        nodes_list, _, regions, detections = kernel._chunk_packed(
             3, np.random.default_rng(12))
         w_ano = relative_anomalous_weight(p, 0.3)
-        refs = []
-        for nodes, regs in zip(nodes_list, regions, strict=True):
-            model = DistanceModel(d, regs[0], w_ano)
-            bdist, _ = model.boundary(nodes)
-            assert np.ptp(nodes[:, 0]) >= 10 * bdist.max()
-            self._assert_oracle(model, nodes)
-            refs.append(GreedyDecoder(model).decode(nodes)
-                        .correction_cut_parity)
+        sizes = []  # pairs per manhattan call; the first is the direct one
+        real_manhattan = greedy.manhattan
+        monkeypatch.setattr(greedy, "manhattan", lambda x, y: (
+            sizes.append(np.shape(x)[1]) or real_manhattan(x, y)))
+        evaluated = wide = 0
+        for nodes, regs, (estimated, _) in zip(
+                nodes_list, regions, detections, strict=True):
+            assert estimated is not None
+            for region in (regs[0], estimated):
+                model = DistanceModel(d, region, w_ano)
+                bdist, _ = model.boundary(nodes)
+                bound = bdist.max()
+                assert np.ptp(nodes[:, 0]) >= 10 * bound
+                dt = np.abs(np.subtract.outer(nodes[:, 0], nodes[:, 0]))
+                (_, to_box, _), = _vias(model, nodes.astype(float))
+                near = to_box <= bound
+                wide += int(np.count_nonzero(np.triu(
+                    (dt <= bound) | np.logical_and.outer(near, near), 1)))
+                sizes.clear()
+                _sparse_pairs(model, nodes, bdist)
+                evaluated += sizes[0]
+                self._assert_oracle(model, nodes)
+        assert evaluated < wide / 2, (evaluated, wide)
+        refs = [GreedyDecoder(DistanceModel(d, regs[0], w_ano))
+                .decode(nodes).correction_cut_parity
+                for nodes, regs in zip(nodes_list, regions, strict=True)]
         assert np.array_equal(
             batched_region_cut_parities(d, list(regions), nodes_list,
                                         w_ano), refs)
 
-    def test_window_ends_exact_under_rounding(self):
-        """Window ends agree with the float difference ``t[q] - t[p]``
-        itself, also where ``t[p] + bound`` rounds the other way."""
-        rng = np.random.default_rng(5)
-        for _ in range(300):
-            # Decimal tenths are inexact in binary: t[p] + bound and
-            # t[q] - t[p] round apart in both directions.
-            t = np.sort(rng.integers(0, 50, 40) / 10.0)
-            bound = int(rng.integers(1, 30)) / 10.0
-            inside = np.triu(t[None, :] - t[:, None] <= bound, 1)
-            want = np.arange(1, 41) + inside.sum(axis=1)
-            assert np.array_equal(_window_ends(t, bound), want)
-
-    @pytest.mark.parametrize("w_ano", [-0.1, -1e-300, float("nan")])
+    @pytest.mark.parametrize("w_ano", [-0.1, -1e-300, float("nan"),
+                                       float("inf")])
     def test_negative_or_nan_weight_rejected(self, w_ano):
         boxes = [AnomalousRegion(1, 1, 3), AnomalousRegion(2, 2, 3)]
         with pytest.raises(ValueError, match="w_ano"):

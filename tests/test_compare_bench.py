@@ -63,6 +63,15 @@ class TestClassify:
         assert cb.classify("streaming_latency.rounds_per_sec") == "drift"
 
 
+    def test_absolute_decode_throughput_is_higher_better(self, cb):
+        """The float decode stage records absolute rates; a ``_per_s``
+        suffix would have read as a lower-is-better timing."""
+        assert cb.classify(
+            "float_decode_stage.throughput_shots_per_sec") == "higher"
+        assert cb.classify(
+            "float_decode_stage.throughput_nodes_per_sec") == "higher"
+
+
 class TestCompare:
     def test_identical_docs_clean(self, cb):
         doc = _doc(decode_stage={"throughput_ratio": 3.2})
