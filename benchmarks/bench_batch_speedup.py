@@ -28,13 +28,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from repro.campaigns import EndToEndSpec, MemorySpec
+from repro import campaigns
+from repro.campaigns import EndToEndSpec, InlineExecutor, MemorySpec
 from repro.campaigns.runner import shot_engine
 from repro.decoding.graph import SyndromeLattice
 from repro.noise import AnomalousRegion
 from repro.noise.models import PACKED_SAMPLE_CHUNK, PhenomenologicalNoise
 from repro.sim import bitops
-from repro.sim.batch import BatchShotRunner
 from repro.sim.memory import MemoryExperiment
 
 from _common import emit_json, mc_samples, mc_workers, print_table, scale
@@ -324,13 +324,12 @@ def bench_decode_stage_speedup(benchmark):
     # Campaign-level certification: same (seed, batch_size), same counts.
     fails = {}
     for mode in ("pershot", "batched"):
-        kernel, _, _ = shot_engine(MemorySpec(
+        res = campaigns.run(MemorySpec(
             distance=13, p=PHYSICAL_RATES[-1], samples=1024,
             region="centered", anomaly_size=ANOMALY_SIZE, informed=True,
-            decode=mode))
-        res = BatchShotRunner(kernel, batch_size=256, seed=71,
-                              packing="bits").run(1024)
-        fails[mode] = int(np.count_nonzero(res.outcomes))
+            decode=mode, packing="bits", batch_size=256, seed=71),
+            executor=InlineExecutor())
+        fails[mode] = res.counts["failures"]
     assert fails["pershot"] == fails["batched"], \
         "batched campaign diverged from the per-shot packed path"
 
@@ -420,17 +419,21 @@ def bench_e2e_decode_stage_speedup(benchmark):
         rows + [["TOTAL", f"{pershot_total * 1e3:.0f}",
                  f"{batched_total * 1e3:.0f}", f"{ratio:.1f}x"]])
 
-    # Campaign-level certification: same (seed, batch_size), same rows.
+    # Campaign-level certification: same (seed, batch_size), same
+    # failure/detection counts and latency estimates.
     camp = {}
     for mode in ("pershot", "batched"):
-        kernel, _, _ = shot_engine(EndToEndSpec(
+        res = campaigns.run(EndToEndSpec(
             distance=9, p=PHYSICAL_RATES[0], shots=192, p_ano=0.5,
             anomaly_size=ANOMALY_SIZE, onset=onset, cycles=onset + 18,
-            c_win=c_win, n_th=8, alpha=0.01, decode=mode))
-        res = BatchShotRunner(kernel, batch_size=64, seed=71,
-                              packing="bits").run(192)
-        camp[mode] = res.outcomes
-    assert np.array_equal(camp["pershot"], camp["batched"]), \
+            c_win=c_win, n_th=8, alpha=0.01, decode=mode, packing="bits",
+            batch_size=64, seed=71), executor=InlineExecutor())
+        camp[mode] = [res.counts[k] for k in (
+            "shots", "naive_failures", "detected_failures",
+            "oracle_failures", "detections")] + [
+            res.estimates["mean_latency"]]
+    assert np.array_equal(camp["pershot"], camp["batched"],
+                          equal_nan=True), \
         "region-bucketed campaign diverged from the per-shot path"
 
     emit_json("batch", "e2e_decode_stage", {

@@ -25,7 +25,7 @@ instruction throughputs) is reported as *drift* beyond the tolerance —
 informational, never fatal, since Monte-Carlo noise moves them at low
 sample counts.
 
-Sections whose recorded env (samples/scale/workers/backend) differs
+Sections whose recorded env (samples/scale/workers) differs
 between the two files are skipped (apples to oranges) unless
 ``--ignore-env`` is given.  See benchmarks/README.md for the CI wiring.
 
@@ -43,7 +43,7 @@ import re
 import sys
 
 #: Env keys that must match for a section comparison to be meaningful.
-ENV_KEYS = ("samples", "scale", "workers", "backend")
+ENV_KEYS = ("samples", "scale", "workers")
 
 HIGHER_BETTER = ("speedup", "throughput")
 #: ``ratio`` counts only as a key-word *ending* a path word (optionally

@@ -63,9 +63,10 @@ import numpy as np
 
 from repro.campaigns.checkpoint import (CheckpointError, chunk_record,
                                         decode_chunk)
-from repro.campaigns.executors import DistributedExecutor
+from repro.campaigns.executors import (DistributedExecutor, _batch_fn,
+                                       _run_chunk)
 from repro.campaigns.specs import spec_from_dict, spec_hash, spec_to_dict
-from repro.sim.batch import _batch_fn, _cache_stats, chunk_plan
+from repro.sim.batch import chunk_plan
 
 #: Task-file format version (bump on incompatible changes).
 TASK_FORMAT = 1
@@ -342,11 +343,7 @@ class Worker:
                 f"task {index} does not fit the chunk plan "
                 f"(size {doc['size']} vs plan)")
         size, child = plan[index]
-        before = _cache_stats(kernel)
-        outcome = run(size, np.random.default_rng(child))
-        after = _cache_stats(kernel)
-        stats = tuple(a - b for a, b in zip(after, before, strict=True))
-        return outcome, stats
+        return _run_chunk(kernel, run, size, child)
 
     def _deliver(self, doc: dict, lease: Path,
                  payload: tuple[np.ndarray, tuple[int, int, int]]) -> None:
@@ -747,11 +744,8 @@ class _Supervisor:
             self.kernel.prepare()
             self._inline_run = _batch_fn(self.kernel, self.packing)
         size, child = self.task_by_index[index]
-        before = _cache_stats(self.kernel)
-        outcome = self._inline_run(size, np.random.default_rng(child))
-        after = _cache_stats(self.kernel)
-        stats = tuple(a - b for a, b in zip(after, before, strict=True))
-        self.ready[index] = (outcome, stats)
+        self.ready[index] = _run_chunk(self.kernel, self._inline_run,
+                                       size, child)
         self.due.pop(index, None)
 
     def _remove_task_files(self, index: int) -> None:

@@ -15,9 +15,8 @@ Three implementations:
   whole request, memory-capped by
   :func:`repro.sim.batch.default_chunk_shots` — the modern ``workers=0``
   path.
-* :class:`ProcessPoolExecutor` — today's :class:`~repro.sim.batch`
-  ``multiprocessing`` fan-out: per-worker kernel/decoder reuse, ordered
-  ``imap`` streaming.
+* :class:`ProcessPoolExecutor` — a ``multiprocessing`` fan-out:
+  per-worker kernel/decoder reuse, ordered windowed streaming.
 * :class:`DistributedExecutor` — the multi-host seam.  Subclasses
   implement :meth:`DistributedExecutor.dispatch` (or override
   ``run_chunks`` wholesale); the placement-independence contract above
@@ -26,6 +25,11 @@ Three implementations:
   :class:`repro.campaigns.distributed.WorkQueueExecutor` — a
   fault-tolerant filesystem work queue served by
   ``python -m repro worker``.
+
+Every executor runs a chunk the same way — :func:`_run_chunk` on a
+prepared kernel's packing entry point (:func:`_batch_fn`) — and the
+pool-worker plumbing (:func:`_pool_init`, :func:`_pool_run`) lives here
+too, next to its only user.
 """
 
 from __future__ import annotations
@@ -37,7 +41,44 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from repro.sim.batch import _batch_fn, _cache_stats, _pool_init, _pool_run
+
+def _cache_stats(kernel) -> tuple[int, int, int]:
+    cache = getattr(kernel, "cache", None)
+    return cache.stats() if cache is not None else (0, 0, 0)
+
+
+def _batch_fn(kernel, packing: str):
+    """The kernel entry point for a packing mode."""
+    return kernel.run_batch_packed if packing == "bits" else kernel.run_batch
+
+
+def _run_chunk(kernel, run, size: int, child: np.random.SeedSequence
+               ) -> tuple[np.ndarray, tuple[int, int, int]]:
+    """One chunk on a prepared kernel: ``(outcomes, cache-stat delta)``.
+
+    ``run`` is the kernel's :func:`_batch_fn` entry point; the chunk's
+    generator is always ``default_rng(child)``, wherever it runs.
+    """
+    before = _cache_stats(kernel)
+    outcome = run(size, np.random.default_rng(child))
+    after = _cache_stats(kernel)
+    return outcome, tuple(a - b for a, b in zip(after, before, strict=True))
+
+
+_WORKER_KERNEL = None
+_WORKER_RUN = None
+
+
+def _pool_init(kernel, packing: str) -> None:
+    global _WORKER_KERNEL, _WORKER_RUN
+    _WORKER_KERNEL = kernel
+    _WORKER_KERNEL.prepare()  # decoder built once, reused per chunk
+    _WORKER_RUN = _batch_fn(kernel, packing)
+
+
+def _pool_run(task) -> tuple[np.ndarray, tuple[int, int, int]]:
+    size, child = task
+    return _run_chunk(_WORKER_KERNEL, _WORKER_RUN, size, child)
 
 
 class Executor:
@@ -113,10 +154,7 @@ class InlineExecutor(Executor):
         kernel.prepare()
         run = _batch_fn(kernel, packing)
         for size, child in tasks:
-            before = _cache_stats(kernel)
-            outcome = run(size, np.random.default_rng(child))
-            after = _cache_stats(kernel)
-            yield outcome, tuple(a - b for a, b in zip(after, before, strict=True))
+            yield _run_chunk(kernel, run, size, child)
 
 
 class ProcessPoolExecutor(Executor):
@@ -177,8 +215,8 @@ class DistributedExecutor(Executor):
 
     * a chunk is fully described by ``(spec JSON, chunk index, size,
       child SeedSequence state)`` — the kernel is rebuilt on the remote
-      host from the spec, exactly as :func:`repro.sim.batch._pool_init`
-      rebuilds it in a pool worker;
+      host from the spec, exactly as :func:`_pool_init` prepares it in
+      a pool worker;
     * outcomes are placement independent (per-chunk ``SeedSequence``,
       PR 1), so any host may run any chunk and results merge by index,
       bit-identical to a local run;
@@ -214,11 +252,13 @@ def default_executor(workers: Optional[int] = None) -> Executor:
 
     ``workers`` overrides the environment: ``0`` is the in-process
     whole-request path, ``1`` the in-process fan-out-sized path, and
-    anything larger a process pool.
+    anything larger a process pool.  A negative count is an error.
     """
     from repro import config
     if workers is None:
         workers = config.workers()
+    if workers < 0:
+        raise ValueError(f"workers must be >= 0, got {workers}")
     if workers > 1:
         return ProcessPoolExecutor(workers)
     return InlineExecutor(whole_request=(workers == 0))

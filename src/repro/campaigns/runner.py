@@ -7,11 +7,10 @@ detection) share one chunked engine: the chunk plan comes from
 :func:`repro.sim.batch.chunk_plan` (the ``(seed, batch_size)``
 reproducibility contract), chunks execute on the chosen
 :class:`~repro.campaigns.executors.Executor`, finished chunks stream
-into the same estimate/early-stop logic as
-:class:`~repro.sim.batch.BatchShotRunner`, and — when a checkpoint
-store is given — every finished chunk is durably appended to the
-spec's shard before the next one runs, so a killed campaign resumes
-bit-identically.
+into one estimate/early-stop loop (:func:`_run_chunked`, the only
+chunk loop in the package), and — when a checkpoint store is given —
+every finished chunk is durably appended to the spec's shard before
+the next one runs, so a killed campaign resumes bit-identically.
 """
 
 from __future__ import annotations
@@ -230,10 +229,10 @@ def _run_chunked(kernel, spec, shots: int, batch_size: int,
     """Execute a shot campaign chunk by chunk, resuming from its shard.
 
     Restored and freshly computed chunks are ingested *in plan order*
-    through the same streamed-count/early-stop predicate as
-    :meth:`repro.sim.batch.BatchShotRunner.run`, so outcomes — and the
-    chunk a ``target_rel_width`` campaign stops after — are bit-equal
-    whether zero, some, or all chunks came from the checkpoint.
+    through one streamed-count/early-stop predicate
+    (:func:`repro.sim.batch.wilson_tight`), so outcomes — and the chunk
+    a ``target_rel_width`` campaign stops after — are bit-equal whether
+    zero, some, or all chunks came from the checkpoint.
     """
     shard = store.shard(spec) if store is not None else None
     done = {}
@@ -318,12 +317,10 @@ def _provenance(spec, executor: Executor, started: float,
                 chunks: int = 0, resumed: int = 0,
                 supervisor: Optional[dict] = None) -> Provenance:
     import repro
-    from repro.sim import backend
     return Provenance(
         spec_hash=spec_hash(spec),
         kind=spec.kind,
         seed=spec.seed,
-        backend=backend.name,
         version=repro.__version__,
         executor=executor.describe(),
         wall_clock_s=time.perf_counter() - started,

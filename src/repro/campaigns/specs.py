@@ -34,9 +34,11 @@ run time (so a distance sweep keeps one base spec).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Optional, Union
 
@@ -57,8 +59,60 @@ def _check(condition: bool, message: str) -> None:
         raise SpecError(message)
 
 
+def _check_types(spec) -> None:
+    """Reject a field value of the wrong JSON type before range checks.
+
+    Integer fields take exact ``int`` values only: ``true`` and ``2.0``
+    would pass an ``int``-range check yet serialize — and hence hash —
+    apart from ``1`` and ``2``, and a non-integral ``5.5`` would pass
+    validation only to crash in compute.  Float fields take finite
+    non-``bool`` numbers; ``bool`` and ``str`` fields their own type.
+    Other annotations (regions, scenarios, area tuples) are checked by
+    their spec.
+    """
+    for name, optional, ok, label in _typed_fields(type(spec)):
+        value = getattr(spec, name)
+        if not (ok(value) or optional and value is None):
+            raise SpecError(f"{name} must be {label}, got {value!r:.80}")
+
+
+def _is_number(value) -> bool:
+    """A finite, non-``bool`` int or float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return not isinstance(value, float) or math.isfinite(value)
+
+
+#: Field annotation -> (value predicate, what the message calls it).
+_FIELD_CHECKS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+}
+
+
+@functools.cache
+def _typed_fields(cls: type) -> tuple:
+    """``(name, optional, predicate, label)`` per type-checked field.
+
+    Resolved once per spec class: specs are rebuilt on hot paths (the
+    refinement scan parses every sibling shard's spec per request).
+    """
+    plan = []
+    for f in dataclasses.fields(cls):
+        annotation = f.type
+        optional = annotation.startswith("Optional[")
+        if optional:
+            annotation = annotation[len("Optional["):-1]
+        if annotation in _FIELD_CHECKS:
+            plan.append((f.name, optional, *_FIELD_CHECKS[annotation]))
+    return tuple(plan)
+
+
 def _check_common(spec) -> None:
-    _check(isinstance(spec.seed, int) and 0 <= spec.seed < MAX_SEED,
+    _check_types(spec)
+    _check(0 <= spec.seed < MAX_SEED,
            f"seed must be an int in [0, 2**63), got {spec.seed!r}")
     if getattr(spec, "batch_size", None) is not None:
         _check(spec.batch_size >= 1, "batch_size must be >= 1")
@@ -412,6 +466,10 @@ class ScalingSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        _check_types(self)
+        _check(isinstance(self.areas, (list, tuple))
+               and all(_is_number(a) for a in self.areas),
+               "areas must be a list of finite numbers")
         object.__setattr__(self, "areas", tuple(self.areas))
         _check(len(self.areas) >= 1, "need at least one chip area")
         _check(all(a > 0 for a in self.areas), "areas must be positive")
@@ -420,8 +478,7 @@ class ScalingSpec:
         _check(self.lifetime_s > 0, "lifetime_s must be positive")
         _check(self.c_lat >= 1, "c_lat must be >= 1")
         _check(self.horizon_cycles >= 1, "horizon_cycles must be >= 1")
-        _check(isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED,
-               "seed must be an int in [0, 2**63)")
+        _check(0 <= self.seed < MAX_SEED, "seed must be in [0, 2**63)")
 
 
 @dataclass(frozen=True)
@@ -441,6 +498,7 @@ class ThroughputSpec:
     seed: int = 7
 
     def __post_init__(self) -> None:
+        _check_types(self)
         _check(self.architecture in ("mbbe_free", "baseline", "q3de"),
                f"unknown architecture {self.architecture!r}")
         _check(self.num_instructions >= 1, "num_instructions must be >= 1")
@@ -454,8 +512,7 @@ class ThroughputSpec:
                "plane must host >= 2 logical qubits "
                "((rows // 2) * (cols // 2) >= 2) for meas_ZZ pairs")
         _check(self.max_slots >= 1, "max_slots must be >= 1")
-        _check(isinstance(self.seed, int) and 0 <= self.seed < MAX_SEED,
-               "seed must be an int in [0, 2**63)")
+        _check(0 <= self.seed < MAX_SEED, "seed must be in [0, 2**63)")
 
 
 #: Spec kinds by their wire name (Sweep handled separately).
@@ -491,6 +548,13 @@ class Sweep:
         _check(not isinstance(self.base, Sweep), "sweeps do not nest")
         _check(type(self.base) in SPEC_KINDS.values(),
                f"base must be a campaign spec, got {type(self.base)!r}")
+        _check(isinstance(self.axes, dict), "sweep axes must be an object")
+        _check(isinstance(self.derive_seeds, bool),
+               "derive_seeds must be a boolean")
+        for name, values in self.axes.items():
+            _check(isinstance(values, (list, tuple)),
+                   f"axis {name!r} must be a list of values, "
+                   f"got {values!r}")
         object.__setattr__(
             self, "axes",
             {name: tuple(values) for name, values in self.axes.items()})
@@ -570,16 +634,16 @@ def spec_from_dict(doc: dict):
     if not isinstance(doc, dict):
         raise SpecError(f"spec document must be an object, got {type(doc)!r}")
     kind = doc.get("kind")
+    if not isinstance(kind, str):
+        raise SpecError(f"spec kind must be a string, got {kind!r}")
     if kind == Sweep.kind:
         base = spec_from_dict(doc.get("base"))
         axes = doc.get("axes", {})
-        if not isinstance(axes, dict):
-            raise SpecError("sweep axes must be an object")
-        if "region" in axes:
+        if isinstance(axes, dict) and isinstance(axes.get("region"), list):
             axes = dict(axes)
             axes["region"] = [_parse_region(v) for v in axes["region"]]
         return Sweep(base=base, axes=axes,
-                     derive_seeds=bool(doc.get("derive_seeds", True)))
+                     derive_seeds=doc.get("derive_seeds", True))
     cls = SPEC_KINDS.get(kind)
     if cls is None:
         raise SpecError(
@@ -605,11 +669,13 @@ def _parse_region(value):
     if value is None or isinstance(value, (AnomalousRegion, str)):
         return value
     if isinstance(value, dict):
+        _check(all(v is None or type(v) is int for v in value.values()),
+               f"region fields must be integers, got {value!r:.80}")
         try:
             return AnomalousRegion(**value)
         except (TypeError, ValueError) as exc:
-            raise SpecError(f"invalid region {value!r}: {exc}") from exc
-    raise SpecError(f"invalid region {value!r}")
+            raise SpecError(f"invalid region {value!r:.80}: {exc}") from exc
+    raise SpecError(f"invalid region {value!r:.80}")
 
 
 def spec_to_json(spec, indent: Optional[int] = None) -> str:
@@ -618,11 +684,21 @@ def spec_to_json(spec, indent: Optional[int] = None) -> str:
                       allow_nan=False)
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def spec_from_json(text: str):
-    """Parse a spec/sweep from JSON text."""
+    """Parse a spec/sweep from JSON text.
+
+    Fails closed: any text either yields a spec whose :func:`spec_hash`
+    is defined, or raises :class:`SpecError` — including the
+    non-standard ``NaN``/``Infinity`` literals Python's parser would
+    otherwise accept and nesting too deep to parse.
+    """
     try:
-        doc = json.loads(text)
-    except ValueError as exc:
+        doc = json.loads(text, parse_constant=_reject_constant)
+    except (ValueError, RecursionError) as exc:
         raise SpecError(f"spec is not valid JSON: {exc}") from exc
     return spec_from_dict(doc)
 

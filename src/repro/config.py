@@ -3,8 +3,7 @@
 Before the unified campaign API every entry point read its own slice of
 the environment: the benches parsed ``REPRO_WORKERS`` / ``REPRO_SAMPLES``
 / ``REPRO_SCALE`` / ``REPRO_JSON`` / ``REPRO_JSON_DIR`` in
-``benchmarks/_common.py`` while :mod:`repro.sim.backend` read
-``REPRO_BACKEND`` at import.  This module is now the single reader; the
+``benchmarks/_common.py``.  This module is now the single reader; the
 values are resolved *at call time* — spec resolution, bench start —
 never cached at import, so a test or driver can flip the environment and
 see the change.
@@ -22,9 +21,6 @@ variable             default    meaning
                                 = a process pool of that size.  The bench
                                 harness (``benchmarks/_common.mc_workers``)
                                 passes its own historical default of ``1``.
-``REPRO_BACKEND``    ``numpy``  array backend for the packed kernels
-                                (``cupy`` is experimental and falls back
-                                with a warning)
 ``REPRO_SAMPLES``    ``200``    Monte-Carlo samples per bench data point
 ``REPRO_SCALE``      ``1.0``    multiplier on all bench workload sizes
 ``REPRO_JSON``       ``1``      benches merge machine-readable sections into
@@ -62,7 +58,6 @@ from typing import Optional, Sequence
 
 #: The environment variables this module owns.
 ENV_WORKERS = "REPRO_WORKERS"
-ENV_BACKEND = "REPRO_BACKEND"
 ENV_SAMPLES = "REPRO_SAMPLES"
 ENV_SCALE = "REPRO_SCALE"
 ENV_JSON = "REPRO_JSON"
@@ -85,17 +80,6 @@ def workers(default: int = 0) -> int:
     ``REPRO_WORKERS=0`` behave identically.
     """
     return max(0, int(os.environ.get(ENV_WORKERS, default)))
-
-
-def backend(default: str = "numpy") -> str:
-    """Requested array backend name (``REPRO_BACKEND``), lowercased.
-
-    Resolution (existence of CuPy, device probing, fallback warnings)
-    stays in :func:`repro.sim.backend.select_backend`; this is only the
-    environment read.
-    """
-    return (os.environ.get(ENV_BACKEND, default) or default).strip().lower() \
-        or default
 
 
 def samples(default: int = 200) -> int:
@@ -166,7 +150,6 @@ def snapshot() -> dict:
     """The resolved knob values, for provenance blocks and debugging."""
     return {
         "workers": workers(),
-        "backend": backend(),
         "samples": samples(),
         "scale": scale(),
         "json": json_enabled(),

@@ -44,13 +44,6 @@ tensors.
   zero-distance cliques of the per-shot core are exactly the nodes
   *inside* the box (``to_box == 0``): the O(n^2) zero-matrix pass of the
   per-shot path collapses to an O(n) mask and a parity trick.
-
-The engine consumes *host* coordinate arrays: on the CuPy backend the
-packed word kernels reduce device syndromes to the (small) active-node
-index arrays at :meth:`SyndromeLattice.packed_active_nodes`, and the
-bucketed builds plus the acceptance — which is host-bound by nature —
-run on NumPy from there.  Moving the bucket tensors themselves onto the
-device seam is future work (see ROADMAP).
 """
 
 from __future__ import annotations

@@ -31,17 +31,6 @@ import numpy as np
 #: close a package cycle through the experiment modules).
 _WORD_BITS = 64
 
-_BACKEND = None
-
-
-def _backend():
-    """The array-backend seam, imported lazily (same package cycle)."""
-    global _BACKEND
-    if _BACKEND is None:
-        from repro.sim import backend
-        _BACKEND = backend
-    return _BACKEND
-
 
 class SyndromeLattice:
     """Computes syndrome layers and active nodes from error arrays.
@@ -126,13 +115,10 @@ class SyndromeLattice:
         """Packed :meth:`true_syndromes`: XOR-scan instead of cumsum.
 
         The mod-2 cumulative sum along time becomes a single
-        word-wise XOR scan over uint64 words, 64 shots per element
-        (:func:`repro.sim.backend.xor_accumulate`, so the same code
-        runs on the CuPy backend).
+        word-wise XOR scan over uint64 words, 64 shots per element.
         """
-        bk = _backend()
-        cum_v = bk.xor_accumulate(v, axis=-3)
-        cum_h = bk.xor_accumulate(h, axis=-3)
+        cum_v = np.bitwise_xor.accumulate(v, axis=-3)
+        cum_h = np.bitwise_xor.accumulate(h, axis=-3)
         synd = cum_v[..., :-1, :] ^ cum_v[..., 1:, :]
         synd[..., :-1] ^= cum_h
         synd[..., 1:] ^= cum_h
@@ -141,11 +127,10 @@ class SyndromeLattice:
     def measured_layers_packed(self, v: np.ndarray, h: np.ndarray,
                                m: np.ndarray) -> np.ndarray:
         """Packed :meth:`measured_layers`; shape ``(words, T+1, d-1, d)``."""
-        xp = _backend().get_array_module(v)
         true = self.true_syndromes_packed(v, h)
         cycles = v.shape[-3]
         shape = v.shape[:-3] + (cycles + 1, self.node_rows, self.node_cols)
-        layers = xp.empty(shape, dtype=xp.uint64)
+        layers = np.empty(shape, dtype=np.uint64)
         layers[..., :cycles, :, :] = true ^ m
         layers[..., cycles, :, :] = true[..., cycles - 1, :, :]
         return layers
@@ -179,16 +164,11 @@ class SyndromeLattice:
         rows keep the unpacked ``argwhere`` order), ``vals`` the uint64
         word at each position, and ``bounds`` the per-word slice offsets
         into both.  This is the whole batch's syndrome in one sweep; no
-        per-shot arrays exist yet.  Device inputs are reduced to these
-        (small) index arrays and brought to the host here — the decoder
-        consumes host coordinates.
+        per-shot arrays exist yet.
         """
-        bk = _backend()
-        xp = bk.get_array_module(diff)
-        coords = xp.argwhere(diff != 0)
+        coords = np.argwhere(diff != 0)
         vals = diff[tuple(coords.T)] if len(coords) else \
-            xp.zeros(0, dtype=xp.uint64)
-        coords, vals = bk.to_numpy(coords), bk.to_numpy(vals)
+            np.zeros(0, dtype=np.uint64)
         bounds = np.searchsorted(coords[:, 0], np.arange(diff.shape[0] + 1))
         return coords, vals, bounds
 
@@ -248,7 +228,7 @@ class SyndromeLattice:
         reduction over the ``k = 0`` vertical edges.
         """
         north = v[:, :, 0, :]
-        return _backend().xor_reduce(
+        return np.bitwise_xor.reduce(
             north.reshape(north.shape[0], -1), axis=1)
 
     @staticmethod
@@ -260,9 +240,8 @@ class SyndromeLattice:
         which is what the end-to-end kernel scores shots against when a
         detection stops the run early.
         """
-        bk = _backend()
-        per_cycle = bk.xor_reduce(v[:, :, 0, :], axis=-1)
-        return bk.xor_accumulate(per_cycle, axis=1)
+        per_cycle = np.bitwise_xor.reduce(v[:, :, 0, :], axis=-1)
+        return np.bitwise_xor.accumulate(per_cycle, axis=1)
 
     # ------------------------------------------------------------------
     @staticmethod

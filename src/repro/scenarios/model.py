@@ -22,6 +22,7 @@ the paper's single region is exactly the degenerate case
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional, Union
 
@@ -173,10 +174,33 @@ class StrikeEvent:
         if unknown:
             raise ScenarioError(
                 f"unknown strike-event fields: {', '.join(sorted(unknown))}")
+        # The wire form is strict, like the spec fields around it: a
+        # bool or a float cycle/position would hash apart from the int
+        # it aliases (or crash in compute when non-integral).
+        for name in ("onset", "size", "duration", "row", "col"):
+            value = doc.get(name)
+            if value is not None and type(value) is not int:
+                raise ScenarioError(
+                    f"strike-event {name} must be an integer, "
+                    f"got {value!r:.80}")
+        if isinstance(doc.get("p_ano"), bool):
+            raise ScenarioError("strike-event p_ano must be a number")
         try:
             return cls(**doc)
         except TypeError as exc:
             raise ScenarioError(f"bad strike event: {exc}") from exc
+
+
+def _multiplier(x: Any) -> float:
+    """One rate multiplier as a finite float (no bools or strings)."""
+    try:
+        value = float(x)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"multiplier {x!r:.40} is not a number") \
+            from exc
+    if isinstance(x, (bool, str)) or not math.isfinite(value):
+        raise ScenarioError(f"multiplier {x!r:.40} is not a finite number")
+    return value
 
 
 def _as_rate_field(value: Any) -> Optional[tuple]:
@@ -185,7 +209,7 @@ def _as_rate_field(value: Any) -> Optional[tuple]:
         return None
     rows = []
     for row in value:
-        rows.append(tuple(float(x) for x in row))
+        rows.append(tuple(_multiplier(x) for x in row))
     if not rows:
         raise ScenarioError("rate_field must have at least one row")
     width = len(rows[0])
@@ -204,7 +228,7 @@ def _as_drift(value: Any) -> Optional[tuple]:
     """Validate/freeze a per-cycle drift profile into a tuple."""
     if value is None:
         return None
-    profile = tuple(float(x) for x in value)
+    profile = tuple(_multiplier(x) for x in value)
     if not profile:
         raise ScenarioError("drift profile must have at least one entry")
     if any(x <= 0.0 for x in profile):

@@ -1,6 +1,5 @@
 """Monte-Carlo experiment drivers for the paper's evaluations."""
 
-from repro.sim import backend
 from repro.sim.montecarlo import BinomialEstimate, wilson_interval
 from repro.sim.memory import MemoryExperiment, LogicalErrorEstimate
 from repro.sim.detection import (
@@ -11,8 +10,6 @@ from repro.sim.detection import (
 )
 from repro.sim.endtoend import EndToEndExperiment, EndToEndResult
 from repro.sim.batch import (
-    BatchRunResult,
-    BatchShotRunner,
     DECODE_MODES,
     DetectionShotKernel,
     EndToEndShotKernel,
@@ -23,9 +20,6 @@ from repro.sim.batch import (
 from repro.sim import bitops
 
 __all__ = [
-    "backend",
-    "BatchRunResult",
-    "BatchShotRunner",
     "MatchingCache",
     "DECODE_MODES",
     "PACKING_MODES",

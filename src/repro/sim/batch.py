@@ -1,8 +1,12 @@
-"""Batched shot engine for Monte-Carlo campaigns.
+"""Batched shot kernels for Monte-Carlo campaigns.
 
 The paper's headline results are >= 1e5-sample campaigns; running each
 shot through per-cycle Python loops caps benches at a few hundred.  This
-module is the production hot path:
+module holds the production hot path — the three shot kernels and the
+chunk-plan contract they run under.  Campaigns drive them through
+:func:`repro.campaigns.run`, whose one chunk loop hands each chunk to an
+:class:`~repro.campaigns.executors.Executor` (in process, a
+``multiprocessing`` pool, or a distributed work queue):
 
 * **Vectorized shot kernels** — noise sampling, syndrome extraction and
   cut parities are computed for a whole batch of shots in a handful of
@@ -25,40 +29,34 @@ module is the production hot path:
   live in a per-worker :class:`repro.decoding.batched.ScratchArena`
   reused across chunks.
 
-* **Bit-packed backend** — ``packing="bits"`` (the default) samples
+* **Bit-packed layout** — ``packing="bits"`` (the default) samples
   Bernoulli bits straight into uint64 words (64 shots per word, see
   :mod:`repro.sim.bitops`) and runs syndrome differences and boundary
   parities as word-wise XOR; nothing is unpacked until decode, and
   decode materializes only each shot's active-node coordinates.  The
-  packed backend consumes the identical uniform stream as the float
+  packed layout consumes the identical uniform stream as the float
   path, so for the same ``(seed, batch_size)`` its outcomes are
   *bit-identical* — ``packing="none"`` remains the certified reference.
 
 * **Matching memoization** — low-``p`` shots repeat the same few-node
   syndromes constantly; :class:`MatchingCache` reuses their cut
-  parities across shots (hit counts surface in
-  :attr:`BatchRunResult.cache_hits`).
-
-* **Process fan-out** — ``workers > 1`` decodes batches on a
-  ``multiprocessing`` pool.  Each worker builds its kernel (and decoder)
-  once and reuses it for every batch it is handed.
+  parities across shots (hit counts surface in a campaign's
+  ``cache_hits`` count).
 
 * **Reproducibility** — one :class:`numpy.random.SeedSequence` spawns a
-  child seed per batch, so a campaign's outcomes depend only on
-  ``(seed, batch_size)`` — never on the worker count or on scheduling.
+  child seed per chunk (:func:`chunk_plan`), so a campaign's outcomes
+  depend only on ``(seed, batch_size)`` — never on the executor, the
+  worker count or scheduling.
 
-* **Streaming estimates** — per-shot outcomes stream into a
-  :class:`BinomialEstimate`; a campaign can stop early once the Wilson
-  interval is tight enough instead of burning a fixed shot budget.
-
-``workers = 0`` everywhere falls back to the original sequential path.
+* **Early stop** — :func:`wilson_tight` is the campaign's stop
+  predicate: a campaign can stop once the Wilson interval of its
+  streamed failures is tight enough instead of burning a fixed shot
+  budget.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -75,7 +73,7 @@ from repro.noise.models import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios.model import Scenario
 from repro.sim import bitops
 from repro.sim.endtoend import estimate_strike_region
-from repro.sim.montecarlo import BinomialEstimate, wilson_interval
+from repro.sim.montecarlo import wilson_interval
 from repro.sim.stages import (DetectionExtractStage, DetectionSampleStage,
                               DetectionScoreStage, EndToEndAccumulateStage,
                               EndToEndDecodeStage, EndToEndDetectStage,
@@ -130,9 +128,10 @@ def chunk_plan(shots: int,
     :class:`numpy.random.SeedSequence` spawns a child per chunk, so a
     campaign's outcomes depend only on ``(seed, batch_size)`` — never on
     the worker count, scheduling, or on which chunks were restored from
-    a checkpoint.  :class:`BatchShotRunner` and the campaign layer
-    (:mod:`repro.campaigns`) must build their plans through this one
-    function so they can never drift apart.
+    a checkpoint.  The campaign layer (:mod:`repro.campaigns`) — its
+    chunk loop, its refinement seeding and its remote workers — builds
+    every plan through this one function so they can never drift
+    apart.
     """
     if shots < 1:
         raise ValueError("need at least one shot")
@@ -146,17 +145,16 @@ def chunk_plan(shots: int,
 
 
 def wilson_tight(successes: int, trials: int,
-                 target_rel_width: Optional[float],
-                 min_shots: int = 0) -> bool:
+                 target_rel_width: Optional[float]) -> bool:
     """The shot engine's early-stop predicate.
 
     True once the Wilson interval of the streamed success count is
-    narrower than ``target_rel_width`` times its mean (and at least
-    ``min_shots`` and one shot have been ingested).  Shared by
-    :meth:`BatchShotRunner.run` and the campaign layer so a resumed
-    campaign stops after exactly the same chunk as an uninterrupted one.
+    narrower than ``target_rel_width`` times its mean (and at least one
+    shot has been ingested).  The campaign chunk loop applies it to
+    restored and fresh chunks alike, so a resumed campaign stops after
+    exactly the same chunk as an uninterrupted one.
     """
-    if target_rel_width is None or trials < max(min_shots, 1):
+    if target_rel_width is None or trials < 1:
         return False
     if successes == 0:
         return False
@@ -178,9 +176,9 @@ class MatchingCache:
     effectively unique, and skipping them bounds key size).  The table
     holds at most ``max_entries`` parities and evicts least-recently
     used (long campaigns previously grew it without bound); ``hits``,
-    ``misses`` and ``evictions`` stream into
-    :attr:`BatchRunResult.cache_hits` / ``cache_misses`` /
-    ``cache_evictions``, including across pool workers.
+    ``misses`` and ``evictions`` stream into a campaign's
+    ``cache_hits`` / ``cache_misses`` / ``cache_evictions`` counts,
+    including across pool workers.
     """
 
     def __init__(self, max_nodes: int = 16, max_entries: int = 1 << 16):
@@ -230,11 +228,6 @@ class MatchingCache:
 
     def stats(self) -> tuple[int, int, int]:
         return self.hits, self.misses, self.evictions
-
-
-def _cache_stats(kernel) -> tuple[int, int, int]:
-    cache = getattr(kernel, "cache", None)
-    return cache.stats() if cache is not None else (0, 0, 0)
 
 
 def _windowed_over(activity: np.ndarray, c_win: int,
@@ -828,155 +821,3 @@ class DetectionShotKernel:
         read back, by the windowed-count scan.
         """
         return self.pipeline().run(self._context(shots, rng, "bits"))
-
-
-# ----------------------------------------------------------------------
-# Worker-pool plumbing
-# ----------------------------------------------------------------------
-_WORKER_KERNEL = None
-_WORKER_RUN = None
-
-
-def _batch_fn(kernel, packing: str):
-    """The kernel entry point for a packing mode (``"bits"`` falls back
-    to the float path when a kernel has no packed variant)."""
-    if packing == "bits" and hasattr(kernel, "run_batch_packed"):
-        return kernel.run_batch_packed
-    return kernel.run_batch
-
-
-def _pool_init(kernel, packing) -> None:
-    global _WORKER_KERNEL, _WORKER_RUN
-    _WORKER_KERNEL = kernel
-    _WORKER_KERNEL.prepare()  # decoder built once, reused per batch
-    _WORKER_RUN = _batch_fn(kernel, packing)
-
-
-def _pool_run(task) -> tuple[np.ndarray, tuple[int, int, int]]:
-    shots, seed = task
-    before = _cache_stats(_WORKER_KERNEL)
-    batch = _WORKER_RUN(shots, np.random.default_rng(seed))
-    after = _cache_stats(_WORKER_KERNEL)
-    return batch, tuple(a - b for a, b in zip(after, before, strict=True))
-
-
-# ----------------------------------------------------------------------
-# The runner
-# ----------------------------------------------------------------------
-@dataclass
-class BatchRunResult:
-    """Outcome of a batched campaign."""
-
-    outcomes: np.ndarray  # (shots,) or (shots, k) per-shot outcomes
-    estimate: Optional[BinomialEstimate]  # streamed success-column counts
-    requested: int
-    cache_hits: int = 0  # matchings served from the kernel's cache
-    cache_misses: int = 0  # cacheable lookups that had to compute
-    cache_evictions: int = 0  # LRU entries dropped at capacity
-
-    @property
-    def shots(self) -> int:
-        return len(self.outcomes)
-
-    @property
-    def stopped_early(self) -> bool:
-        return self.shots < self.requested
-
-
-class BatchShotRunner:
-    """Runs a shot kernel over batches, in process or on a worker pool.
-
-    Args:
-        kernel: object with ``run_batch(shots, rng) -> np.ndarray``,
-            ``prepare()``, ``success_column`` and ``default_batch_size``
-            (optionally ``run_batch_packed`` for the bit-packed path).
-        workers: 0 or 1 runs in-process; ``workers > 1`` fans batches out
-            over a ``multiprocessing`` pool of that size.
-        batch_size: shots per batch (``None`` = kernel default).  Part of
-            the reproducibility contract: outcomes depend on
-            ``(seed, batch_size)`` only.
-        seed: campaign seed for the shared ``SeedSequence``.
-        packing: ``"bits"`` (default) runs the kernel's bit-packed
-            variant — 64 shots per uint64 word, word-wise syndrome XOR —
-            which is bit-identical to ``"none"`` (the certified float
-            reference) for the same ``(seed, batch_size)``.  Kernels
-            without a packed variant silently use the float path.
-    """
-
-    def __init__(self, kernel, workers: int = 0,
-                 batch_size: Optional[int] = None,
-                 seed: Optional[int] = None,
-                 packing: str = "bits"):
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
-        if packing not in PACKING_MODES:
-            raise ValueError(f"packing must be one of {PACKING_MODES}")
-        self.kernel = kernel
-        self.workers = workers
-        self.batch_size = (batch_size if batch_size is not None
-                           else kernel.default_batch_size)
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        self.seed = seed
-        self.packing = packing
-        self.last_estimate: Optional[BinomialEstimate] = None
-
-    # ------------------------------------------------------------------
-    def _batches(self, shots: int) -> list[tuple[int, np.random.SeedSequence]]:
-        return chunk_plan(shots, self.batch_size, self.seed)
-
-    def run(self, shots: int,
-            target_rel_width: Optional[float] = None,
-            min_shots: int = 0) -> BatchRunResult:
-        """Run up to ``shots`` shots, streaming batch outcomes.
-
-        With ``target_rel_width`` the campaign stops as soon as the
-        Wilson interval of the success-column estimate is narrower than
-        ``target_rel_width *`` its mean (and at least ``min_shots`` and
-        one full batch have been run): the adaptive mode that replaces
-        fixed >= 1e5-shot budgets.
-        """
-        if shots < 1:
-            raise ValueError("need at least one shot")
-        tasks = self._batches(shots)
-        collected: list[np.ndarray] = []
-        successes = trials = 0
-        cache_stats = np.zeros(3, dtype=np.int64)
-
-        def ingest(batch: np.ndarray) -> bool:
-            nonlocal successes, trials
-            collected.append(batch)
-            column = batch if batch.ndim == 1 \
-                else batch[:, self.kernel.success_column]
-            successes += int(np.count_nonzero(column))
-            trials += len(batch)
-            return wilson_tight(successes, trials, target_rel_width,
-                                min_shots)
-
-        if self.workers <= 1:
-            self.kernel.prepare()
-            run = _batch_fn(self.kernel, self.packing)
-            before = _cache_stats(self.kernel)
-            for size, child in tasks:
-                batch = run(size, np.random.default_rng(child))
-                if ingest(batch):
-                    break
-            cache_stats += np.subtract(_cache_stats(self.kernel), before)
-        else:
-            with multiprocessing.Pool(
-                    self.workers, initializer=_pool_init,
-                    initargs=(self.kernel, self.packing)) as pool:
-                for batch, stats in pool.imap(_pool_run, tasks):
-                    cache_stats += stats
-                    if ingest(batch):
-                        break  # context manager terminates the pool
-
-        outcomes = np.concatenate(collected)
-        self.last_estimate = (BinomialEstimate(successes, trials)
-                              if trials else None)
-        return BatchRunResult(outcomes=outcomes,
-                              estimate=self.last_estimate,
-                              requested=shots,
-                              cache_hits=int(cache_stats[0]),
-                              cache_misses=int(cache_stats[1]),
-                              cache_evictions=int(cache_stats[2]))

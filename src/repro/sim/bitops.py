@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sim import backend
-
 #: Shots per packed word.
 WORD_BITS = 64
 
@@ -39,22 +37,16 @@ def pack_shots(bits: np.ndarray) -> np.ndarray:
     Lane ``s % 64`` of word ``s // 64`` holds shot ``s``; tail lanes of
     the final word are zero.
     """
-    xp = backend.get_array_module(bits)
     # Thresholding up front keeps any-nonzero-is-1 packbits semantics
-    # on every backend and alignment.
-    bits = xp.asarray(bits).astype(bool, copy=False)
+    # at every alignment.
+    bits = np.asarray(bits).astype(bool, copy=False)
     shots = bits.shape[0]
     words = word_count(shots)
     if shots != words * WORD_BITS:
-        pad = xp.zeros((words * WORD_BITS - shots,) + bits.shape[1:],
+        pad = np.zeros((words * WORD_BITS - shots,) + bits.shape[1:],
                        dtype=bool)
-        bits = xp.concatenate([bits, pad], axis=0)
+        bits = np.concatenate([bits, pad], axis=0)
     lanes_first = bits.reshape((words, WORD_BITS) + bits.shape[1:])
-    if xp is not np:  # generic lane fold (CuPy packbits lacks bitorder)
-        out = xp.zeros((words,) + bits.shape[1:], dtype=xp.uint64)
-        for b in range(WORD_BITS):
-            out |= lanes_first[:, b].astype(xp.uint64) << xp.uint64(b)
-        return out
     # (words, 64, ...) -> (words, ..., 64): lanes must be the fastest
     # axis so the 8 packed bytes of each word are memory-adjacent.
     # Materializing the transpose before packbits matters: packbits on a
@@ -67,17 +59,10 @@ def pack_shots(bits: np.ndarray) -> np.ndarray:
 
 def unpack_shots(words: np.ndarray, shots: int) -> np.ndarray:
     """Invert :func:`pack_shots`: ``(words, ...)`` uint64 to bool shots."""
-    xp = backend.get_array_module(words)
-    words = xp.asarray(words, dtype="<u8")
+    words = np.asarray(words, dtype="<u8")
     n_words = words.shape[0]
     if shots > n_words * WORD_BITS:
         raise ValueError("more shots requested than lanes stored")
-    if xp is not np:  # generic lane spread
-        bits = xp.zeros((n_words * WORD_BITS,) + words.shape[1:],
-                        dtype=bool)
-        for b in range(WORD_BITS):
-            bits[b::WORD_BITS] = (words >> xp.uint64(b)) & xp.uint64(1)
-        return bits[:shots]
     as_bytes = np.ascontiguousarray(words[..., None]).view(np.uint8)
     lanes_last = np.unpackbits(as_bytes, axis=-1, bitorder="little")
     bits = np.moveaxis(lanes_last, -1, 1).reshape(
@@ -91,9 +76,8 @@ def lane(words: np.ndarray, shot: int) -> np.ndarray:
     This is the only per-shot unpacking the packed kernels perform: one
     lane of the already-extracted syndrome stream, never the raw batch.
     """
-    xp = backend.get_array_module(words)
     w, b = divmod(shot, WORD_BITS)
-    return ((words[w] >> xp.uint64(b)) & xp.uint64(1)).astype(xp.uint8)
+    return ((words[w] >> np.uint64(b)) & np.uint64(1)).astype(np.uint8)
 
 
 def lane_bit(words: np.ndarray, shot: int) -> int:
@@ -103,24 +87,21 @@ def lane_bit(words: np.ndarray, shot: int) -> int:
 
 
 def _popcount_generic(words: np.ndarray) -> np.ndarray:
-    """SWAR popcount in word-wise ops (any backend)."""
-    xp = backend.get_array_module(words)
-    v = xp.asarray(words, dtype=xp.uint64).copy()
-    m1 = xp.uint64(0x5555555555555555)
-    m2 = xp.uint64(0x3333333333333333)
-    m4 = xp.uint64(0x0F0F0F0F0F0F0F0F)
-    h = xp.uint64(0x0101010101010101)
-    v -= (v >> xp.uint64(1)) & m1
-    v = (v & m2) + ((v >> xp.uint64(2)) & m2)
-    v = (v + (v >> xp.uint64(4))) & m4
-    return ((v * h) >> xp.uint64(56)).astype(xp.int64)
+    """SWAR popcount in word-wise ops (the NumPy < 2.0 fallback)."""
+    v = np.asarray(words, dtype=np.uint64).copy()
+    m1 = np.uint64(0x5555555555555555)
+    m2 = np.uint64(0x3333333333333333)
+    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+    h = np.uint64(0x0101010101010101)
+    v -= (v >> np.uint64(1)) & m1
+    v = (v & m2) + ((v >> np.uint64(2)) & m2)
+    v = (v + (v >> np.uint64(4))) & m4
+    return ((v * h) >> np.uint64(56)).astype(np.int64)
 
 
 if hasattr(np, "bitwise_count"):  # NumPy >= 2.0
     def popcount(words: np.ndarray) -> np.ndarray:
         """Per-word set-bit counts (number of active shots per word)."""
-        if backend.get_array_module(words) is not np:
-            return _popcount_generic(words)
         return np.bitwise_count(words)
 else:  # pragma: no cover - exercised only on NumPy < 2.0
     def popcount(words: np.ndarray) -> np.ndarray:

@@ -138,8 +138,7 @@ class MemoryExperiment:
         ``workers >= 1`` path builds a
         :class:`repro.campaigns.MemorySpec` and calls
         :func:`repro.campaigns.run`, so its results are bit-identical
-        per ``(seed, batch_size)`` to both the pre-redesign
-        ``BatchShotRunner`` path and a directly run spec.  Prefer the
+        per ``(seed, batch_size)`` to a directly run spec.  Prefer the
         campaign API for new code: it adds sweeps, pluggable executors,
         checkpoint/resume and provenance that this signature cannot
         express.

@@ -6,7 +6,7 @@ this module existed each beat lived as a branch inside a kernel method,
 so none of them could be exercised (or replaced) on its own.  Here each
 beat is a :class:`Stage` object: a :class:`ShotPipeline` threads one
 immutable :class:`StageContext` (RNG stream, packing mode, scratch
-arena, matching cache, array-backend handle) and one mutable
+arena, matching cache) and one mutable
 :class:`StageState` through the stages in order, and the kernels'
 ``run_batch`` / ``run_batch_packed`` entry points are nothing but a
 pipeline run.  The staged kernels are certified bit-identical per
@@ -33,8 +33,7 @@ tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from types import ModuleType
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator, Optional, Sequence
 
 import numpy as np
@@ -42,7 +41,6 @@ import numpy as np
 from repro.decoding.batched import ScratchArena, batched_region_cut_parities
 from repro.noise.models import (AnomalousRegion, PhenomenologicalNoise,
                                 build_anomalous_masks)
-from repro.sim import backend as _backend_module
 from repro.sim import bitops
 
 if TYPE_CHECKING:  # runtime import would cycle: batch.py imports us
@@ -66,9 +64,6 @@ class StageContext:
             decode-stage bench feeding a pre-sampled chunk in).
         arena: the kernel's grow-only scratch arena for batched decode.
         cache: the kernel's matching cache, when it keeps one.
-        backend: the array-backend seam handle
-            (:mod:`repro.sim.backend`); carried so stages never import
-            a backend behind the seam's back.
     """
 
     shots: int
@@ -76,7 +71,6 @@ class StageContext:
     rng: Optional[np.random.Generator] = None
     arena: Optional[ScratchArena] = None
     cache: Optional["MatchingCache"] = None
-    backend: ModuleType = field(default=_backend_module)
 
 
 class StageState:

@@ -16,16 +16,19 @@ from repro.decoding.batched import batched_region_cut_parities
 from repro.decoding import greedy
 from repro.decoding.greedy import _reach, _sparse_pairs, _vias
 from repro.decoding.weights import relative_anomalous_weight
-from repro.campaigns import EndToEndSpec, MemorySpec
+from repro import campaigns
+from repro.campaigns import (EndToEndSpec, InlineExecutor, MemorySpec,
+                             ProcessPoolExecutor, SpecError,
+                             default_executor)
 from repro.campaigns.runner import shot_engine
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios.model import Scenario, StrikeEvent
 from repro.sim import bitops
 from repro.sim.batch import (
-    BatchShotRunner,
     DetectionShotKernel,
     MatchingCache,
     MemoryShotKernel,
+    chunk_plan,
 )
 from repro.sim.detection import run_detection_trials
 from repro.sim.endtoend import EndToEndExperiment
@@ -33,6 +36,29 @@ from repro.sim.memory import MemoryExperiment
 
 from reference_engines import (reference_detection_trials,
                                reference_endtoend_run)
+
+
+def _run_kernel(kernel, shots, batch_size=None, seed=None, packing="bits",
+                executor=None):
+    """A hand-built kernel over its chunk plan: ``(outcomes, cache stats)``.
+
+    The executor seam the campaign layer drives (inline by default),
+    fed the plan straight from :func:`chunk_plan`.
+    """
+    executor = executor if executor is not None else InlineExecutor()
+    if batch_size is None:
+        batch_size = kernel.default_batch_size
+    outcomes, stats = [], np.zeros(3, dtype=np.int64)
+    for outcome, delta in executor.run_chunks(
+            kernel, packing, chunk_plan(shots, batch_size, seed)):
+        outcomes.append(outcome)
+        stats += delta
+    return np.concatenate(outcomes), tuple(int(s) for s in stats)
+
+
+#: The in-process executor with the kernel's fan-out chunk size as the
+#: unset-``batch_size`` default.
+CHUNKED = InlineExecutor(whole_request=False)
 
 
 class TestBatchedPrimitives:
@@ -533,13 +559,13 @@ class TestPackedKernelEquivalence:
         assert np.array_equal(ref, packed, equal_nan=True)
 
     def test_runner_packing_knob(self):
-        a = BatchShotRunner(MemoryShotKernel(5, 0.03), seed=11,
-                            packing="none").run(300)
-        b = BatchShotRunner(MemoryShotKernel(5, 0.03), seed=11,
-                            packing="bits").run(300)
-        assert np.array_equal(a.outcomes, b.outcomes)
-        with pytest.raises(ValueError):
-            BatchShotRunner(MemoryShotKernel(5, 0.03), packing="words")
+        a, _ = _run_kernel(MemoryShotKernel(5, 0.03), 300, seed=11,
+                           packing="none")
+        b, _ = _run_kernel(MemoryShotKernel(5, 0.03), 300, seed=11,
+                           packing="bits")
+        assert np.array_equal(a, b)
+        with pytest.raises(SpecError):
+            MemorySpec(distance=5, p=0.03, samples=300, packing="words")
 
     def test_experiment_entry_points_accept_packing(self):
         exp = MemoryExperiment(5, 0.02)
@@ -560,12 +586,12 @@ class TestPackedKernelEquivalence:
                           perf_n.mean_position_error, equal_nan=True)
 
     def test_pool_runs_packed(self):
-        solo = BatchShotRunner(MemoryShotKernel(5, 0.03), batch_size=50,
-                               seed=5, packing="bits").run(150)
-        pooled = BatchShotRunner(MemoryShotKernel(5, 0.03), workers=2,
-                                 batch_size=50, seed=5,
-                                 packing="bits").run(150)
-        assert np.array_equal(solo.outcomes, pooled.outcomes)
+        solo, _ = _run_kernel(MemoryShotKernel(5, 0.03), 150, 50, seed=5,
+                              packing="bits")
+        pooled, _ = _run_kernel(MemoryShotKernel(5, 0.03), 150, 50, seed=5,
+                                packing="bits",
+                                executor=ProcessPoolExecutor(2))
+        assert np.array_equal(solo, pooled)
 
 
 class TestMatchingCache:
@@ -603,67 +629,82 @@ class TestMatchingCache:
     def test_cached_and_uncached_runs_agree(self):
         """Satellite: memoized matchings must not change outcomes, and
         low-p campaigns must actually hit the cache."""
-        cached = BatchShotRunner(MemoryShotKernel(5, 0.005), seed=3).run(2000)
-        uncached = BatchShotRunner(
-            MemoryShotKernel(5, 0.005, cache_matchings=False),
-            seed=3).run(2000)
-        assert np.array_equal(cached.outcomes, uncached.outcomes)
-        assert cached.cache_hits > 0
-        assert uncached.cache_hits == 0
+        cached, cached_stats = _run_kernel(MemoryShotKernel(5, 0.005),
+                                           2000, seed=3)
+        uncached, uncached_stats = _run_kernel(
+            MemoryShotKernel(5, 0.005, cache_matchings=False), 2000, seed=3)
+        assert np.array_equal(cached, uncached)
+        assert cached_stats[0] > 0
+        assert uncached_stats[0] == 0
 
     def test_cache_hits_reported_from_pool(self):
-        result = BatchShotRunner(MemoryShotKernel(5, 0.005), workers=2,
-                                 batch_size=500, seed=3).run(2000)
-        assert result.cache_hits > 0
+        spec = MemorySpec(distance=5, p=0.005, samples=2000, seed=3,
+                          batch_size=500)
+        result = campaigns.run(spec, executor=ProcessPoolExecutor(2))
+        assert result.counts["cache_hits"] > 0
 
 
 class TestBatchRunner:
-    def _kernel(self):
-        return MemoryShotKernel(5, 0.03)
+    """The campaign chunk loop (``campaigns.run`` → executor) over the
+    memory kernel: argument checks, determinism, chunking, early stop."""
+
+    def _spec(self, **overrides):
+        return MemorySpec(**{"distance": 5, "p": 0.03, "samples": 300,
+                             **overrides})
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            BatchShotRunner(self._kernel(), workers=-1)
+            default_executor(-1)
+        with pytest.raises(SpecError):
+            self._spec(batch_size=0)
+        with pytest.raises(SpecError):
+            self._spec(samples=0)
         with pytest.raises(ValueError):
-            BatchShotRunner(self._kernel(), batch_size=0)
+            chunk_plan(100, 0, 1)
         with pytest.raises(ValueError):
-            BatchShotRunner(self._kernel()).run(0)
+            chunk_plan(0, 64, 1)
 
     def test_deterministic_for_fixed_seed(self):
-        a = BatchShotRunner(self._kernel(), seed=11).run(300)
-        b = BatchShotRunner(self._kernel(), seed=11).run(300)
-        assert np.array_equal(a.outcomes, b.outcomes)
-        assert a.estimate.successes == b.estimate.successes
+        a = campaigns.run(self._spec(seed=11), executor=CHUNKED)
+        b = campaigns.run(self._spec(seed=11), executor=CHUNKED)
+        assert a.counts == b.counts
+        assert a.estimates == b.estimates
+        outs = [_run_kernel(MemoryShotKernel(5, 0.03), 300, seed=11)[0]
+                for _ in range(2)]
+        assert np.array_equal(*outs)
+        assert a.counts["failures"] == int(np.count_nonzero(outs[0]))
 
     def test_partial_final_batch(self):
-        result = BatchShotRunner(self._kernel(), batch_size=64,
-                                 seed=1).run(100)
-        assert result.shots == 100
-        assert result.estimate.trials == 100
+        result = campaigns.run(self._spec(samples=100, batch_size=64,
+                                          seed=1), executor=CHUNKED)
+        assert result.counts["samples"] == 100
+        assert result.provenance.chunks == 2
+        outcomes, _ = _run_kernel(MemoryShotKernel(5, 0.03), 100, 64, 1)
+        assert len(outcomes) == 100
 
     def test_outcomes_independent_of_batching_workers(self):
         """Chunk seeds come from one SeedSequence: the pool must return
         exactly the in-process outcomes."""
-        solo = BatchShotRunner(self._kernel(), batch_size=50,
-                               seed=5).run(150)
-        pooled = BatchShotRunner(self._kernel(), workers=2, batch_size=50,
-                                 seed=5).run(150)
-        assert np.array_equal(solo.outcomes, pooled.outcomes)
+        solo, _ = _run_kernel(MemoryShotKernel(5, 0.03), 150, 50, seed=5)
+        pooled, _ = _run_kernel(MemoryShotKernel(5, 0.03), 150, 50, seed=5,
+                                executor=ProcessPoolExecutor(2))
+        assert np.array_equal(solo, pooled)
 
     def test_early_stop_on_tight_wilson_interval(self):
-        kernel = MemoryShotKernel(3, 0.15)  # high failure rate: converges
-        runner = BatchShotRunner(kernel, batch_size=128, seed=2)
-        result = runner.run(100_000, target_rel_width=0.5)
-        assert result.stopped_early
-        assert result.shots < 100_000
-        lo, hi = result.estimate.interval
-        assert (hi - lo) <= 0.5 * result.estimate.mean
+        # High failure rate: converges long before the request.
+        spec = MemorySpec(distance=3, p=0.15, samples=100_000,
+                          batch_size=128, seed=2, target_rel_width=0.5)
+        result = campaigns.run(spec, executor=CHUNKED)
+        assert result.counts["samples"] < 100_000
+        estimate = result.detail.estimate
+        lo, hi = estimate.interval
+        assert (hi - lo) <= 0.5 * estimate.mean
 
     def test_no_early_stop_without_target(self):
-        result = BatchShotRunner(self._kernel(), batch_size=128,
-                                 seed=3).run(256)
-        assert not result.stopped_early
-        assert result.shots == 256
+        result = campaigns.run(self._spec(samples=256, batch_size=128,
+                                          seed=3), executor=CHUNKED)
+        assert result.counts["samples"] == 256
+        assert result.provenance.chunks == 2
 
 
 class TestMemoryBatchEquivalence:

@@ -8,9 +8,6 @@ unconditional), and the kernels' ``decode="batched"`` campaigns equal
 their ``decode="pershot"`` runs shot for shot.
 """
 
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -24,16 +21,17 @@ from repro.decoding import (
     greedy_cut_parity,
     greedy_decode_fast,
 )
-from repro.campaigns import MemorySpec
+from repro import campaigns
+from repro.campaigns import InlineExecutor, MemorySpec, ProcessPoolExecutor
 from repro.campaigns.runner import shot_engine
 from repro.noise import AnomalousRegion, PhenomenologicalNoise
 from repro.scenarios.model import Scenario, StrikeEvent
-from repro.sim import backend, bitops
+from repro.sim import bitops
 from repro.sim.batch import (
-    BatchShotRunner,
     EndToEndShotKernel,
     MatchingCache,
     MemoryShotKernel,
+    chunk_plan,
 )
 
 
@@ -274,9 +272,9 @@ class TestKernelDecodeModes:
             kernel, _, _ = shot_engine(MemorySpec(
                 distance=7, p=2.5e-2, samples=200, region="centered",
                 anomaly_size=3, informed=True, decode=mode))
-            res = BatchShotRunner(kernel, batch_size=48, seed=19,
-                                  packing="bits").run(200)
-            fails[mode] = res.outcomes
+            fails[mode] = np.concatenate([
+                outcome for outcome, _ in InlineExecutor().run_chunks(
+                    kernel, "bits", chunk_plan(200, 48, 19))])
         assert np.array_equal(fails["pershot"], fails["batched"])
 
 
@@ -324,17 +322,20 @@ class TestLRUMatchingCache:
         assert bat_cache.stats() == seq_cache.stats()
 
     def test_runner_surfaces_misses_and_evictions(self):
-        runner = BatchShotRunner(MemoryShotKernel(5, 0.005), seed=3)
-        result = runner.run(2000)
-        assert result.cache_hits > 0
-        assert result.cache_misses > 0
-        assert result.cache_evictions == 0  # far below capacity
+        spec = MemorySpec(distance=5, p=0.005, samples=2000, seed=3)
+        counts = campaigns.run(
+            spec, executor=InlineExecutor(whole_request=False)).counts
+        assert counts["cache_hits"] > 0
+        assert counts["cache_misses"] > 0
+        assert counts["cache_evictions"] == 0  # far below capacity
 
     def test_pool_merges_cache_stats(self):
-        result = BatchShotRunner(MemoryShotKernel(5, 0.005), workers=2,
-                                 batch_size=500, seed=3).run(2000)
-        assert result.cache_hits > 0
-        assert result.cache_misses > 0
+        spec = MemorySpec(distance=5, p=0.005, samples=2000, seed=3,
+                          batch_size=500)
+        counts = campaigns.run(spec,
+                               executor=ProcessPoolExecutor(2)).counts
+        assert counts["cache_hits"] > 0
+        assert counts["cache_misses"] > 0
 
     def test_bounded_campaign_stays_exact(self):
         """A tiny LRU capacity must never change outcomes."""
@@ -350,57 +351,8 @@ class TestLRUMatchingCache:
 
 
 class TestBackendSeam:
-    def test_default_backend_is_numpy(self):
-        assert backend.name == "numpy"
-        assert backend.xp is np
-
-    def test_numpy_request_is_exact_current_path(self):
-        assert backend.select_backend("numpy") == "numpy"
-        assert backend.xp is np
-        assert backend.get_array_module(np.zeros(3)) is np
-        a = np.arange(5)
-        assert backend.to_numpy(a) is a
-
-    def test_unknown_backend_warns_and_falls_back(self):
-        with pytest.warns(RuntimeWarning):
-            assert backend.select_backend("tpu") == "numpy"
-        assert backend.xp is np
-
-    def test_cupy_absent_falls_back_with_warning(self):
-        """REPRO_BACKEND=cupy on a box without CuPy degrades cleanly."""
-        have_cupy = True
-        try:
-            import cupy  # noqa: F401
-        except ImportError:
-            have_cupy = False
-        if have_cupy:  # pragma: no cover - GPU CI only
-            pytest.skip("CuPy present; fallback path not reachable")
-        with pytest.warns(RuntimeWarning):
-            assert backend.select_backend("cupy") == "numpy"
-        assert backend.xp is np
-
-    def test_env_resolution_in_subprocess(self):
-        """The documented knob end to end: a fresh interpreter."""
-        code = ("import repro.sim.backend as b; print(b.name)")
-        for env_val, expect in (("numpy", "numpy"), ("", "numpy")):
-            out = subprocess.run(
-                [sys.executable, "-W", "ignore", "-c", code],
-                capture_output=True, text=True,
-                env={"PYTHONPATH": "src", "REPRO_BACKEND": env_val,
-                     "PATH": "/usr/bin:/bin"},
-                cwd=str(__import__("pathlib").Path(__file__).parent.parent))
-            assert out.stdout.strip() == expect, out.stderr
-
-    def test_xor_helpers_match_ufuncs(self):
-        rng = np.random.default_rng(0)
-        words = rng.integers(0, 2**63, (5, 7, 3), dtype=np.uint64)
-        for axis in (0, 1, 2):
-            assert np.array_equal(
-                backend.xor_accumulate(words, axis=axis),
-                np.bitwise_xor.accumulate(words, axis=axis))
-            assert np.array_equal(
-                backend.xor_reduce(words, axis=axis),
-                np.bitwise_xor.reduce(words, axis=axis))
+    """The SWAR popcount behind :func:`repro.sim.bitops.popcount` on
+    NumPy < 2 agrees with the fast path."""
 
     def test_generic_popcount_matches_fast_path(self):
         rng = np.random.default_rng(1)

@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from repro import campaigns
 from repro.noise import AnomalousRegion
 from repro.scenarios.model import Scenario, StrikeEvent
-from repro.sim.batch import (BatchShotRunner, DetectionShotKernel,
-                             EndToEndShotKernel, MemoryShotKernel,
-                             chunk_plan, default_chunk_shots)
+from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
+                             MemoryShotKernel, chunk_plan,
+                             default_chunk_shots, wilson_tight)
 from repro.sim.detection import run_detection_trials
 from repro.sim.endtoend import EndToEndExperiment
 from repro.sim.memory import MemoryExperiment
@@ -49,6 +49,18 @@ class TestSpecValidation:
         # still weight the box.
         dict(distance=5, p=1e-2, samples=10, informed=True,
              region=AnomalousRegion(1, 1, 2, t_lo=3, t_hi=3)),
+        # Integer fields take exact ints: a non-integral value would
+        # crash in compute, and a bool or an integral float would hash
+        # apart from the int it aliases.
+        dict(distance=5.5, p=1e-2, samples=10),
+        dict(distance=5, p=1e-2, samples=8.5),
+        dict(distance=5.0, p=1e-2, samples=10),
+        dict(distance=5, p=1e-2, samples=10, seed=True),
+        dict(distance=5, p=1e-2, samples=10, batch_size=2.5),
+        dict(distance=5, p=1e-2, samples=10, batch_size=True),
+        dict(distance=5, p=True, samples=10),
+        dict(distance=5, p=1e-2, samples=10, target_rel_width=float("inf")),
+        dict(distance=5, p=1e-2, samples=10, informed="yes"),
     ])
     def test_memory_spec_rejects(self, kwargs):
         with pytest.raises(campaigns.SpecError):
@@ -59,6 +71,10 @@ class TestSpecValidation:
         dict(distance=5, p=1e-2, shots=0),
         dict(distance=5, p=1e-2, shots=10, alpha=0.0),
         dict(distance=5, p=1e-2, shots=10, c_win=0),
+        dict(distance=5, p=1e-2, shots=10.5),
+        dict(distance=5, p=1e-2, shots=10, onset=True),
+        dict(distance=5, p=1e-2, shots=10, cycles=300.0),
+        dict(distance=5, p=1e-2, shots=10, batch_size=2.5),
     ])
     def test_endtoend_spec_rejects(self, kwargs):
         with pytest.raises(campaigns.SpecError):
@@ -117,6 +133,31 @@ def _example_specs():
     ]
 
 
+#: Arbitrary JSON values (strict JSON: no NaN or infinities).
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.text(max_size=6), kids, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _near_spec_docs(draw):
+    """A valid wire dict (one per kind, plus a sweep) with up to three
+    entries replaced by arbitrary or plausible JSON values."""
+    specs = _example_specs() + [campaigns.Sweep(
+        _example_specs()[0], axes={"distance": [5, 7]})]
+    doc = campaigns.spec_to_dict(draw(st.sampled_from(specs)))
+    values = _JSON | st.integers(-3, 400) | st.floats(0.0, 1.0) \
+        | st.sampled_from(["bits", "none", "batched", "centered",
+                           "memory", "sweep", "greedy"])
+    names = sorted(doc) + ["axes", "junk"]
+    for name in draw(st.lists(st.sampled_from(names), max_size=3)):
+        doc[name] = draw(values)
+    return doc
+
+
 class TestSpecJson:
     @pytest.mark.parametrize("spec", _example_specs(),
                              ids=lambda s: type(s).__name__)
@@ -154,6 +195,24 @@ class TestSpecJson:
         '{"kind": "memory", "distance": 5, "p": 0.01, "samples": 2,'
         ' "region": 7}',                            # bad region
         "{not json",
+        '{"kind": ["memory"]}',                     # unhashable kind
+        '{"kind": "sweep", "base": {"kind": "memory", "distance": 5,'
+        ' "p": 0.01, "samples": 2}, "axes": {"p": 0.1}}',  # scalar axis
+        '{"kind": "sweep", "base": {"kind": "memory", "distance": 5,'
+        ' "p": 0.01, "samples": 2}, "axes": {"region": 7}}',
+        '{"kind": "memory", "distance": 5, "p": 0.01, "samples": 2,'
+        ' "target_rel_width": Infinity}',           # not JSON
+        '{"kind": "memory", "distance": 5, "p": NaN, "samples": 2}',
+        "[" * 100_000,                              # too deep to parse
+        '{"kind": "memory", "distance": 5, "p": 0.01, "samples": 2,'
+        ' "region": {"row_lo": 1.5, "col_lo": 0, "size": 2}}',
+        '{"kind": "scenario", "distance": 5, "p": 0.01, "shots": 2,'
+        ' "scenario": {"events": [{"onset": 5.5, "size": 2, "row": 0,'
+        ' "col": 0}]}}',
+        '{"kind": "scenario", "distance": 3, "p": 0.01, "shots": 2,'
+        ' "scenario": {"drift": [1e999999]}}',        # overflows float
+        '{"kind": "scenario", "distance": 3, "p": 0.01, "shots": 2,'
+        ' "scenario": {"drift": [' + "9" * 400 + ']}}',
     ])
     def test_bad_documents_rejected(self, doc):
         with pytest.raises(campaigns.SpecError):
@@ -179,6 +238,19 @@ class TestSpecJson:
         spec = campaigns.MemorySpec(**kwargs)
         again = campaigns.spec_from_json(campaigns.spec_to_json(spec))
         assert again == spec
+        assert campaigns.spec_hash(again) == campaigns.spec_hash(spec)
+
+    @settings(max_examples=400, deadline=None)
+    @given(doc=st.one_of(_JSON, _near_spec_docs()))
+    def test_any_json_is_a_spec_or_spec_error(self, doc):
+        """The fuzzed spec boundary fails closed: any JSON value parses
+        to a spec or raises SpecError, and whatever parses hashes and
+        round-trips — so the service can always key it."""
+        try:
+            spec = campaigns.spec_from_json(json.dumps(doc))
+        except campaigns.SpecError:
+            return
+        again = campaigns.spec_from_json(campaigns.spec_to_json(spec))
         assert campaigns.spec_hash(again) == campaigns.spec_hash(spec)
 
     def test_hash_distinguishes_specs(self):
@@ -219,6 +291,12 @@ class TestSweep:
             campaigns.Sweep(base, axes={"p": []})
         with pytest.raises(campaigns.SpecError):
             campaigns.Sweep(campaigns.Sweep(base, axes={}), axes={})
+        with pytest.raises(campaigns.SpecError):
+            campaigns.Sweep(base, axes={"p": 0.1})   # not a list
+        with pytest.raises(campaigns.SpecError):
+            campaigns.Sweep(base, axes={"decoder": "mwpm"})  # nor a str
+        with pytest.raises(campaigns.SpecError):
+            campaigns.Sweep(base, derive_seeds="no")
 
     def test_run_returns_sweep_result(self, tmp_path):
         base = campaigns.MemorySpec(distance=3, p=2e-2, samples=16,
@@ -280,6 +358,13 @@ class TestExecutors:
         pool = campaigns.default_executor(3)
         assert isinstance(pool, campaigns.ProcessPoolExecutor)
         assert pool.workers == 3
+
+    def test_default_executor_rejects_negative_workers(self):
+        # A negative count is a caller error, not a fan-out request.
+        with pytest.raises(ValueError, match="workers"):
+            campaigns.default_executor(-3)
+        with pytest.raises(ValueError, match="workers"):
+            MemoryExperiment(5, 2e-2).run(64, workers=-2)
 
     def test_default_executor_reads_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
@@ -354,6 +439,13 @@ class TestExecutors:
 # ----------------------------------------------------------------------
 # Shim equality: legacy entry points == campaign API, bit for bit
 # ----------------------------------------------------------------------
+def _direct(kernel, shots, batch_size, seed):
+    """A hand-built kernel run chunk by chunk on the inline executor."""
+    return np.concatenate([
+        outcome for outcome, _ in campaigns.InlineExecutor().run_chunks(
+            kernel, "bits", chunk_plan(shots, batch_size, seed))])
+
+
 class TestLegacyShims:
     def test_memory_run_matches_direct_runner(self):
         region = AnomalousRegion.centered(5, 2)
@@ -362,20 +454,25 @@ class TestLegacyShims:
         strike = StrikeEvent(onset=0, size=2, row=region.row_lo,
                              col=region.col_lo, p_ano=0.5)
         kernel = MemoryShotKernel(5, 2e-2, Scenario(events=(strike,)))
-        rr = BatchShotRunner(kernel, workers=1, batch_size=64,
-                             seed=11).run(300)
+        out = _direct(kernel, 300, 64, 11)
         assert (est.failures, est.samples) == \
-            (rr.estimate.successes, rr.estimate.trials)
+            (int(np.count_nonzero(out)), len(out))
 
     def test_memory_early_stop_matches(self):
         exp = MemoryExperiment(5, 3e-2)
         est = exp.run(5000, workers=1, seed=3, batch_size=128,
                       target_rel_width=0.5)
-        rr = BatchShotRunner(MemoryShotKernel(5, 3e-2), workers=1,
-                             batch_size=128, seed=3).run(
-                                 5000, target_rel_width=0.5)
-        assert (est.failures, est.samples) == \
-            (rr.estimate.successes, rr.estimate.trials)
+        # Replay the plan chunk by chunk under the same stop predicate.
+        stream = campaigns.InlineExecutor().run_chunks(
+            MemoryShotKernel(5, 3e-2), "bits", chunk_plan(5000, 128, 3))
+        failures = samples = 0
+        for outcome, _ in stream:
+            failures += int(np.count_nonzero(outcome))
+            samples += len(outcome)
+            if wilson_tight(failures, samples, 0.5):
+                break
+        stream.close()
+        assert (est.failures, est.samples) == (failures, samples)
         assert est.samples < 5000  # it actually stopped early
 
     def test_endtoend_run_matches_direct_runner(self):
@@ -386,8 +483,7 @@ class TestLegacyShims:
         kernel = EndToEndShotKernel(5, 0.01, Scenario(events=(strike,)),
                                     60, 20, 4, 0.01)
         batch = default_chunk_shots(40, 60 * 4 * 5)
-        out = BatchShotRunner(kernel, workers=0, batch_size=batch,
-                              seed=5).run(40).outcomes
+        out = _direct(kernel, 40, batch, 5)
         assert res.naive_failures == int(out[:, 0].sum())
         assert res.detected_failures == int(out[:, 1].sum())
         assert res.oracle_failures == int(out[:, 2].sum())
@@ -400,8 +496,7 @@ class TestLegacyShims:
         kernel = DetectionShotKernel(7, 2e-3, Scenario(events=(strike,)),
                                      40, 3, 0.01, 80, 160)
         batch = default_chunk_shots(6, 240 * 6 * 7)
-        out = BatchShotRunner(kernel, workers=0, batch_size=batch,
-                              seed=9).run(6).outcomes
+        out = _direct(kernel, 6, batch, 9)
         assert perf.false_positives == int(out[:, 0].sum())
         assert perf.detections == int(out[:, 1].sum())
 
@@ -427,7 +522,7 @@ class TestResults:
         assert prov.spec_hash == campaigns.spec_hash(spec)
         assert prov.kind == "memory"
         assert prov.seed == 4
-        assert prov.backend == "numpy"
+        assert "backend" not in prov.to_dict()  # NumPy is the only engine
         assert prov.executor == "inline"
         assert prov.packing == "bits"
         assert prov.batch_size == 16

@@ -21,7 +21,7 @@ def cb():
 
 
 def _doc(**sections):
-    env = {"samples": 200, "scale": 1.0, "workers": 1, "backend": "numpy"}
+    env = {"samples": 200, "scale": 1.0, "workers": 1}
     return {"bench": "batch",
             "sections": {name: dict(payload, env=dict(env))
                          for name, payload in sections.items()}}
@@ -136,6 +136,17 @@ class TestCompare:
         assert regs == []
         assert any("env mismatch" in n for n in notes)
         regs, _, _ = cb.compare(fresh, base, ignore_env=True)
+        assert len(regs) == 1
+
+    def test_retired_backend_env_key_is_not_a_mismatch(self, cb):
+        """Baselines written before the array-backend knob was retired
+        carry ``env.backend``; fresh sections no longer do.  They must
+        still be compared, not skipped as apples to oranges."""
+        base = _doc(decode_stage={"throughput_ratio": 3.2})
+        base["sections"]["decode_stage"]["env"]["backend"] = "numpy"
+        fresh = _doc(decode_stage={"throughput_ratio": 1.0})
+        regs, _, notes = cb.compare(fresh, base)
+        assert not any("env mismatch" in n for n in notes)
         assert len(regs) == 1
 
     def test_missing_and_new_sections_noted(self, cb):

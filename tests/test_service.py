@@ -180,8 +180,23 @@ class TestValidation:
     def test_malformed_spec_is_400(self, tmp_path):
         app = ServiceApp(tmp_path, executor_factory=campaigns.InlineExecutor)
         try:
+            memory = b'"kind": "memory", "distance": 5, "p": 0.1'
             for body in (b"not json", b'{"kind": "memory", "distance": 1}',
-                         b'{"kind": "warp-drive"}'):
+                         b'{"kind": "warp-drive"}',
+                         # Malformed structure: answered, not dropped.
+                         b'{"kind": ["memory"]}',
+                         b'{"kind": "sweep", "base": {' + memory
+                         + b', "samples": 8}, "axes": {"p": 0.1}}',
+                         # Non-integral counts must never reach compute.
+                         b'{' + memory + b', "samples": 8.5}',
+                         b'{"kind": "memory", "distance": 5.5, "p": 0.1,'
+                         b' "samples": 8}',
+                         # Aliases of 1 and 2 must not hash apart.
+                         b'{' + memory + b', "samples": 8, "seed": true}',
+                         b'{' + memory + b', "samples": 8,'
+                         b' "batch_size": 2.5}',
+                         b'{' + memory + b', "samples": 8,'
+                         b' "target_rel_width": Infinity}'):
                 code, doc = app.submit(body, "public")
                 assert code == 400
                 assert "error" in doc
@@ -361,6 +376,10 @@ class TestHTTP:
             assert code == 404
             code, doc = self._request(base, "POST", "/campaigns")
             assert code == 400  # no body
+            # A malformed kind is answered, not a dropped connection.
+            code, doc = self._request(base, "POST", "/campaigns",
+                                      b'{"kind": ["memory"]}')
+            assert code == 400 and "kind" in doc["error"]
 
             spec = _spec(seed=37)
             code, doc = self._request(

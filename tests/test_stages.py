@@ -22,7 +22,6 @@ from repro.sim.batch import (DetectionShotKernel, EndToEndShotKernel,
                              MemoryShotKernel)
 from repro.sim.stages import (ShotPipeline, Stage, StageContext, StageState,
                               _overwrite_anomalous)
-from repro.sim import backend
 
 
 def digest(a: np.ndarray) -> str:
@@ -202,10 +201,6 @@ class TestPipelineStructure:
         with pytest.raises(NotImplementedError):
             Stage().run(StageContext(shots=1, packing="none"),
                         StageState())
-
-    def test_context_carries_backend_seam(self):
-        ctx = StageContext(shots=1, packing="bits")
-        assert ctx.backend is backend
 
     def test_context_is_frozen(self):
         ctx = StageContext(shots=1, packing="bits")

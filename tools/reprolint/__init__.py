@@ -2,13 +2,12 @@
 
 PRs 1-5 certified every fast path bit-identical per ``(seed,
 batch_size)``.  The contracts that certification rests on — RNG streams
-threaded from a ``SeedSequence``, seam-routed kernels reaching arrays
-only through :mod:`repro.sim.backend`, frozen JSON-round-trippable
-campaign specs, ``repro/config.py`` owning every ``REPRO_*`` read, and
-a deterministic checkpoint wire format — are mechanical properties of
+threaded from a ``SeedSequence``, frozen JSON-round-trippable campaign
+specs, ``repro/config.py`` owning every ``REPRO_*`` read, and a
+deterministic checkpoint wire format — are mechanical properties of
 the source.  This package turns them into AST-enforced rules so a
-careless ``np.random.default_rng()`` or a stray host-``numpy`` call in
-a seam kernel fails CI instead of silently eroding the certification.
+careless ``np.random.default_rng()`` or a stray ``os.environ`` read
+fails CI instead of silently eroding the certification.
 
 Pure stdlib (``ast`` + ``tomllib``); no runtime dependency on the
 ``repro`` package, so the linter runs before the tree even imports.
@@ -24,8 +23,6 @@ RL000    lint hygiene: unparsable file, or a ``# reprolint:`` disable
          comment without a ``-- justification``
 RL001    seed discipline: no legacy ``np.random.*`` global-state RNG,
          no entropy-seeded (argless) generator construction
-RL002    backend-seam purity: seam-routed kernels touch arrays only
-         through the backend handle, per ``seam_manifest.toml``
 RL003    env-knob ownership: ``os.environ`` / ``os.getenv`` only in
          ``repro/config.py``
 RL004    spec discipline: every ``register_campaign``-registered spec

@@ -20,7 +20,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="reprolint",
         description=("AST contract checker for the repo's "
-                     "reproducibility, seam-purity, and seed-discipline "
+                     "reproducibility, seed-discipline, and spec "
                      "invariants (see docs/CONTRACTS.md)"))
     parser.add_argument("paths", nargs="*",
                         help="files and/or directories to lint")
@@ -28,7 +28,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit the machine-readable JSON report")
     parser.add_argument("--manifest", metavar="TOML",
                         help="contract manifest (default: the repo's "
-                             "tools/reprolint/seam_manifest.toml)")
+                             "tools/reprolint/contract_manifest.toml)")
     parser.add_argument("--select", metavar="RULES",
                         help="comma-separated rule ids to run "
                              "(default: all)")

@@ -9,7 +9,7 @@ deterministic and needs nothing beyond the standard library.
 Suppression grammar (one per physical line)::
 
     expr()  # reprolint: disable=RL001 -- why this is safe
-    # reprolint: disable=RL002,RL003 -- why (applies to the next line)
+    # reprolint: disable=RL001,RL003 -- why (applies to the next line)
 
 The justification after ``--`` is mandatory; a bare ``disable=`` is
 itself a finding (RL000) and suppresses nothing — reviewer lore is

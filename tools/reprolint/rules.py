@@ -1,4 +1,4 @@
-"""The five repo contracts, as AST rules (RL001-RL005).
+"""The repo contracts, as AST rules (RL001, RL003-RL005).
 
 Each rule states one invariant the bit-identical certification of PRs
 1-5 rests on.  The rules resolve names through the file's actual
@@ -13,7 +13,7 @@ import ast
 from typing import Iterator, Optional
 
 from reprolint.engine import Diagnostic, FileContext, Rule, register_rule
-from reprolint.manifest import Manifest, SeamModule
+from reprolint.manifest import Manifest
 
 
 # ----------------------------------------------------------------------
@@ -170,93 +170,6 @@ class SeedDiscipline(Rule):
                 f"entropy-seeded 'numpy.random.{attr}()' (no seed "
                 "argument) — reproducible code threads an explicit "
                 "SeedSequence-derived seed")
-
-
-# ----------------------------------------------------------------------
-# RL002 — backend-seam purity
-# ----------------------------------------------------------------------
-@register_rule
-class SeamPurity(Rule):
-    """Seam-routed kernels reach arrays only through ``repro.sim.backend``.
-
-    Modules registered in ``seam_manifest.toml`` promise that their
-    scoped kernels run unchanged on any array backend (NumPy today,
-    CuPy behind ``REPRO_BACKEND=cupy``).  A direct ``np.<attr>`` touch
-    inside scope silently pins the kernel to the host; the manifest's
-    per-module ``allow`` list names the *documented* host fast-path
-    attributes (e.g. ``np.packbits`` behind an ``xp is np`` guard) —
-    everything else must go through the backend handle.
-    """
-
-    rule_id = "RL002"
-    name = "backend-seam-purity"
-    severity = "error"
-    description = ("seam-routed kernels use the repro.sim.backend handle; "
-                   "direct numpy attributes only per the manifest "
-                   "allow-list")
-
-    def check(self, ctx: FileContext,
-              manifest: Manifest) -> Iterator[Diagnostic]:
-        module = manifest.seam_module_for(ctx.posix)
-        if module is None:
-            return
-        imap = imports(ctx)
-        yield from self._check_imports(ctx, module)
-        yield from self._visit(ctx, imap, module, ctx.tree,
-                               in_scope=module.whole_module)
-
-    def _check_imports(self, ctx, module: SeamModule):
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.ImportFrom) and node.level == 0 \
-                    and node.module \
-                    and node.module.split(".")[0] == "numpy":
-                bad = [a.name for a in node.names
-                       if a.name not in module.allow]
-                if bad:
-                    yield ctx.diagnostic(
-                        self, node,
-                        f"seam-routed module imports {bad} straight from "
-                        "numpy — route through repro.sim.backend (or add "
-                        "a documented host fast path to the manifest "
-                        "allow-list)")
-
-    @staticmethod
-    def _runtime_children(node):
-        """Children of ``node``, minus type-annotation subtrees.
-
-        Annotations (``v: np.ndarray``) are static typing, not array
-        operations — only runtime attribute access pins a kernel to the
-        host.
-        """
-        skip = set()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                and node.returns is not None:
-            skip.add(id(node.returns))
-        if isinstance(node, (ast.arg, ast.AnnAssign)) \
-                and node.annotation is not None:
-            skip.add(id(node.annotation))
-        for child in ast.iter_child_nodes(node):
-            if id(child) not in skip:
-                yield child
-
-    def _visit(self, ctx, imap, module: SeamModule, node,
-               in_scope: bool) -> Iterator[Diagnostic]:
-        for child in self._runtime_children(node):
-            child_scope = in_scope
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                child_scope = in_scope or module.scopes_function(child.name)
-            if in_scope and isinstance(child, ast.Attribute) \
-                    and isinstance(child.value, ast.Name) \
-                    and child.value.id in imap.numpy \
-                    and child.attr not in module.allow:
-                yield ctx.diagnostic(
-                    self, child,
-                    f"direct numpy attribute "
-                    f"'{child.value.id}.{child.attr}' in a seam-routed "
-                    f"kernel — use the backend handle "
-                    f"(repro.sim.backend / get_array_module), or list a "
-                    f"documented host fast path in seam_manifest.toml")
-            yield from self._visit(ctx, imap, module, child, child_scope)
 
 
 # ----------------------------------------------------------------------
